@@ -124,9 +124,11 @@ rm -f target/trace_ci.json
 # Zero-cost-when-off: with tracing disarmed (the default everywhere
 # else), the steady-state loop must still allocate nothing and the trio
 # must still clear the committed throughput floor — the trace layer may
-# only cost when a trace was asked for.
-echo "==> tracing-off re-check: alloc steady-state gate + throughput floor"
+# only cost when a trace was asked for. The serving host's shard loop
+# gets the same allocation gate over real loopback traffic.
+echo "==> tracing-off re-check: alloc steady-state gates (simulator + shard loop) + throughput floor"
 cargo test --release -q --test alloc_steady_state
+cargo test --release -q --test runtime_alloc_steady_state
 cargo run --release -q -p presence-bench --bin perf_report -- --check target/perf_report_traceoff.json
 
 echo "==> ci.sh: all green"

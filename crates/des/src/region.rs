@@ -768,7 +768,7 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
     /// so the windows are data-race-free by construction; results do not
     /// depend on the worker count.
     fn run_windows(&mut self, ends: &[SimTime]) {
-        let mut active: Vec<(&mut RegionState<E, S>, SimTime)> = self
+        let active: Vec<(&mut RegionState<E, S>, SimTime)> = self
             .regions
             .iter_mut()
             .zip(ends.iter().copied())
@@ -780,11 +780,22 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
             }
             return;
         }
-        std::thread::scope(|scope| {
-            for (region, end) in active.drain(..) {
-                scope.spawn(move || region.run_window(end));
-            }
+        // Join every handle explicitly: letting the scope join them would
+        // replace a region's panic (e.g. the lookahead-violation
+        // diagnostic) with a generic "a scoped thread panicked".
+        let first_panic = std::thread::scope(|scope| {
+            let handles: Vec<_> = active
+                .into_iter()
+                .map(|(region, end)| scope.spawn(move || region.run_window(end)))
+                .collect();
+            handles
+                .into_iter()
+                .filter_map(|h| h.join().err())
+                .reduce(|first, _| first)
         });
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
     }
 
     /// The barrier merge: drains every region's outbox and admits the
@@ -985,12 +996,13 @@ mod tests {
         let _: RelayRegionSim = RegionSim::new(1, 2, SimDuration::ZERO);
     }
 
-    #[test]
-    #[should_panic(expected = "lands inside the current window")]
-    fn lookahead_violation_panics_loudly() {
-        // Declared lookahead 10 µs, but the cross-region delay is 1 µs:
-        // the very first cross send must be rejected, not reordered.
+    /// Declared lookahead 10 µs, but the cross-region delay is 1 µs: the
+    /// very first cross send must be rejected, not reordered. Both
+    /// regions are active in the first window, so `workers` ≥ 2 takes the
+    /// threaded path, whose join must keep the diagnostic.
+    fn violate_lookahead(workers: usize) {
         let mut reg: RelayRegionSim = RegionSim::new(5, 2, LOOKAHEAD);
+        reg.set_workers(workers);
         reg.add_member(0, relay(1, 1_000, 10));
         reg.add_member(1, relay(0, 1_000, 10));
         reg.run_until(SimTime::from_secs_f64(0.001));
@@ -998,11 +1010,34 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "lands inside the current window")]
-    fn isolated_partition_rejects_any_cross_send() {
+    fn lookahead_violation_panics_loudly() {
+        violate_lookahead(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "lands inside the current window")]
+    fn lookahead_violation_panics_loudly_inline() {
+        violate_lookahead(1);
+    }
+
+    fn cross_isolated_partition(workers: usize) {
         let mut reg: RelayRegionSim = RegionSim::isolated(5, 2);
+        reg.set_workers(workers);
         reg.add_member(0, relay(1, 1_000_000, 10));
         reg.add_member(1, relay(0, 1_000_000, 10));
         reg.run_until(SimTime::from_secs_f64(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "lands inside the current window")]
+    fn isolated_partition_rejects_any_cross_send() {
+        cross_isolated_partition(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "lands inside the current window")]
+    fn isolated_partition_rejects_any_cross_send_inline() {
+        cross_isolated_partition(1);
     }
 
     #[test]
@@ -1075,14 +1110,25 @@ mod tests {
         let _ = reg.actor::<Relay>(a);
     }
 
-    #[test]
-    #[should_panic(expected = "lands inside the current window")]
-    fn adaptive_keeps_the_violation_panic() {
+    fn violate_lookahead_adaptive(workers: usize) {
         let mut reg: RelayRegionSim = RegionSim::new(5, 2, LOOKAHEAD);
+        reg.set_workers(workers);
         reg.set_window_policy(WindowPolicy::Adaptive);
         reg.add_member(0, relay(1, 1_000, 10));
         reg.add_member(1, relay(0, 1_000, 10));
         reg.run_until(SimTime::from_secs_f64(0.001));
+    }
+
+    #[test]
+    #[should_panic(expected = "lands inside the current window")]
+    fn adaptive_keeps_the_violation_panic() {
+        violate_lookahead_adaptive(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "lands inside the current window")]
+    fn adaptive_keeps_the_violation_panic_inline() {
+        violate_lookahead_adaptive(1);
     }
 
     /// The canonical structured trace is engine-invariant: the regioned

@@ -117,6 +117,14 @@ fn get_prober(v: u32) -> Option<CpId> {
 #[must_use]
 pub fn encode(msg: &WireMessage) -> Vec<u8> {
     let mut buf = Vec::with_capacity(33);
+    encode_into(msg, &mut buf);
+    buf
+}
+
+/// Appends a message's encoding to `buf`, leaving what `buf` already
+/// holds untouched. Allocates only when `buf` must grow, so a reused
+/// buffer makes encoding allocation-free.
+pub fn encode_into(msg: &WireMessage, buf: &mut Vec<u8>) {
     match msg {
         WireMessage::Probe(p) => {
             buf.push(TAG_PROBE);
@@ -130,8 +138,8 @@ pub fn encode(msg: &WireMessage) -> Vec<u8> {
                 buf.extend_from_slice(&r.probe.seq.to_le_bytes());
                 buf.extend_from_slice(&r.device.0.to_le_bytes());
                 buf.extend_from_slice(&pc.to_le_bytes());
-                put_prober(&mut buf, last_probers[0]);
-                put_prober(&mut buf, last_probers[1]);
+                put_prober(buf, last_probers[0]);
+                put_prober(buf, last_probers[1]);
             }
             ReplyBody::Dcpp { wait } => {
                 buf.push(TAG_REPLY_DCPP);
@@ -151,18 +159,22 @@ pub fn encode(msg: &WireMessage) -> Vec<u8> {
             buf.extend_from_slice(&n.reporter.0.to_le_bytes());
         }
     }
-    buf
 }
 
 /// Encodes a message wrapped in the device-addressed host frame.
 #[must_use]
 pub fn encode_addressed(device: DeviceId, msg: &WireMessage) -> Vec<u8> {
-    let inner = encode(msg);
-    let mut buf = Vec::with_capacity(5 + inner.len());
+    let mut buf = Vec::with_capacity(5 + 33);
+    encode_addressed_into(device, msg, &mut buf);
+    buf
+}
+
+/// Appends a message wrapped in the device-addressed host frame to `buf`
+/// (see [`encode_into`]).
+pub fn encode_addressed_into(device: DeviceId, msg: &WireMessage, buf: &mut Vec<u8>) {
     buf.push(TAG_ADDRESSED);
     buf.extend_from_slice(&device.0.to_le_bytes());
-    buf.extend_from_slice(&inner);
-    buf
+    encode_into(msg, buf);
 }
 
 /// One datagram as a shard socket sees it: either a plain wire message or

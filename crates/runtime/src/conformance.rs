@@ -379,8 +379,9 @@ pub fn run_udp(scenario: &ConformanceScenario, shards: usize) -> io::Result<Conf
         shards,
         bind: "127.0.0.1:0".to_string(),
         recv_batch: 64,
-        // Aggressive polling: the controller's quiescence windows wait on
-        // full loop iterations, so idle sleeps bound the per-step latency.
+        // A short cap on each wait: advancing the virtual clock wakes no
+        // shard, and the controller's quiescence windows wait on full loop
+        // iterations, so the cap bounds the per-step latency.
         poll_interval: Duration::from_micros(200),
     };
     let clock = ManualClock::new();

@@ -5,11 +5,26 @@
 //! demo, hopeless for the paper's deployment target of thousands of
 //! devices. [`ShardedHost`] hashes machines across `RUNTIME_SHARDS` worker
 //! threads. Each shard owns exactly one UDP socket (no cross-thread socket
-//! contention), a [`TimerWheel`] keyed by `(machine, token)`, and a batch
-//! buffer: per loop iteration it fires every due timer, drains up to a
-//! batch of datagrams non-blockingly, routes each through the
-//! [`codec`](crate::codec), flushes queued sends, republishes its earliest
-//! deadline, and only sleeps when a full iteration found no work.
+//! contention), a [`TimerWheel`] keyed by `(machine, token)`, and a send
+//! arena. Each loop iteration drains up to a batch of datagrams
+//! non-blockingly and routes each through the [`codec`](crate::codec),
+//! then fires every timer now due, flushes the queued sends and
+//! republishes its earliest deadline. Then it blocks until a datagram
+//! arrives or that deadline comes, whichever is first, but never longer
+//! than [`HostConfig::poll_interval`]. The wait is `ppoll(2)` on the
+//! shard's socket (`sys.rs`, the crate's only `unsafe`).
+//!
+//! The order within an iteration follows what ended the wait. A datagram
+//! arrived before the next deadline, so the socket is drained first: a
+//! reply that reached it while the shard was off its core (and is among
+//! the pass's `recv_batch` datagrams) is handled before the timeout it
+//! answers can fire, and the stall does not turn an answered probe into a
+//! retransmission. A wait that ran out found the socket empty at its
+//! deadline, so the timers due then fire before anything received since
+//! (the first iteration counts as such a wait). The steady loop allocates
+//! nothing: the receive buffer is a stack array, the
+//! action scratch is reused, and sends are encoded back to back into one
+//! reused arena ([`crate::codec::encode_into`]).
 //!
 //! Routing on a shared socket:
 //!
@@ -31,15 +46,17 @@
 //! [`run_cp`]: crate::run_cp
 
 use crate::clock::Clock;
-use crate::codec::{decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM};
+use crate::codec::{decode_datagram, encode_addressed_into, encode_into, Datagram, MAX_DATAGRAM};
 use crate::host::{DeviceHost, StopFlag};
 use crate::stats::{ShardCounters, ShardStats, NO_DEADLINE};
+use crate::sys;
 use crate::wheel::TimerWheel;
 use presence_core::{CpAction, CpId, CpStats, DeviceId, Prober, TimerToken, Verdict, WireMessage};
 use presence_des::SimTime;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -56,8 +73,11 @@ pub struct HostConfig {
     pub bind: String,
     /// Maximum datagrams drained from the socket per loop iteration.
     pub recv_batch: usize,
-    /// Sleep when an iteration finds no work. Bounds both timer-firing
-    /// latency and stop-flag reaction time.
+    /// The longest single wait of a shard between loop iterations. A
+    /// shard wakes as soon as a datagram arrives or its next timer is
+    /// due; this cap only bounds how late it notices the stop flag, and
+    /// how often it re-reads a clock that moves on its own (a
+    /// [`ManualClock`](crate::ManualClock) set by another thread).
     pub poll_interval: Duration,
 }
 
@@ -160,6 +180,22 @@ pub struct HostReport {
     pub per_shard: Vec<ShardStats>,
 }
 
+/// Datagrams queued for the end of a loop iteration, encoded back to
+/// back into one reused byte arena.
+#[derive(Default)]
+struct Outbox {
+    bytes: Vec<u8>,
+    frames: Vec<(SocketAddr, Range<usize>)>,
+}
+
+impl Outbox {
+    fn push(&mut self, dest: SocketAddr, encode: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.bytes.len();
+        encode(&mut self.bytes);
+        self.frames.push((dest, start..self.bytes.len()));
+    }
+}
+
 /// One worker: socket, machines, wheel, counters.
 struct Shard {
     socket: UdpSocket,
@@ -169,37 +205,34 @@ struct Shard {
     wheel: TimerWheel<WheelKey>,
     recv_batch: usize,
     poll_interval: Duration,
+    /// Reused action scratch for every machine call.
+    actions: Vec<CpAction>,
+    outbox: Outbox,
 }
 
 impl Shard {
-    fn publish_deadline(&mut self) {
-        let nanos = self
-            .wheel
-            .next_deadline()
-            .map_or(NO_DEADLINE, SimTime::as_nanos);
-        self.counters
-            .next_deadline_nanos
-            .store(nanos, Ordering::Release);
+    /// Publishes the earliest armed deadline for controllers and returns
+    /// it.
+    fn publish_deadline(&mut self) -> Option<SimTime> {
+        let next = self.wheel.next_deadline();
+        self.counters.next_deadline_nanos.store(
+            next.map_or(NO_DEADLINE, SimTime::as_nanos),
+            Ordering::Release,
+        );
+        next
     }
 
     /// Executes one prober's pending actions. `emitted_at` is the instant
     /// the machine was called with — timers arm relative to it, not to a
     /// fresh clock read (see `run_cp`'s emission-instant rule).
-    fn execute(
-        &mut self,
-        cp: u32,
-        emitted_at: SimTime,
-        actions: &mut Vec<CpAction>,
-        sends: &mut Vec<(SocketAddr, Vec<u8>)>,
-    ) {
+    fn execute(&mut self, cp: u32, emitted_at: SimTime, actions: &mut Vec<CpAction>) {
         for action in actions.drain(..) {
             match action {
                 CpAction::SendProbe(p) => {
                     let slot = &self.probers[&cp];
-                    sends.push((
-                        slot.peer,
-                        encode_addressed(slot.target, &WireMessage::Probe(p)),
-                    ));
+                    self.outbox.push(slot.peer, |buf| {
+                        encode_addressed_into(slot.target, &WireMessage::Probe(p), buf);
+                    });
                 }
                 CpAction::StartTimer { token, after } => {
                     self.wheel
@@ -215,9 +248,9 @@ impl Shard {
         }
     }
 
-    fn fire_due(&mut self, now: SimTime, sends: &mut Vec<(SocketAddr, Vec<u8>)>) -> u64 {
+    fn fire_due(&mut self, now: SimTime) {
         let mut fired = 0;
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         while let Some((key, _at)) = self.wheel.pop_due(now) {
             fired += 1;
             match key {
@@ -225,14 +258,14 @@ impl Shard {
                     if let Some(slot) = self.probers.get_mut(&cp) {
                         slot.started = true;
                         slot.prober.start(now, &mut actions);
-                        self.execute(cp, now, &mut actions, sends);
+                        self.execute(cp, now, &mut actions);
                     }
                 }
                 WheelKey::ProberTimer(cp, token) => {
                     if let Some(slot) = self.probers.get_mut(&cp) {
                         if !slot.prober.is_stopped() {
                             slot.prober.on_timer(now, token, &mut actions);
-                            self.execute(cp, now, &mut actions, sends);
+                            self.execute(cp, now, &mut actions);
                         }
                     }
                 }
@@ -243,19 +276,13 @@ impl Shard {
                 }
             }
         }
+        self.actions = actions;
         self.counters
             .timers_fired
             .fetch_add(fired, Ordering::Release);
-        fired
     }
 
-    fn handle_datagram(
-        &mut self,
-        now: SimTime,
-        buf: &[u8],
-        from: SocketAddr,
-        sends: &mut Vec<(SocketAddr, Vec<u8>)>,
-    ) {
+    fn handle_datagram(&mut self, now: SimTime, buf: &[u8], from: SocketAddr) {
         let datagram = match decode_datagram(buf) {
             Ok(d) => d,
             Err(_) => {
@@ -266,7 +293,7 @@ impl Shard {
         self.counters
             .datagrams_received
             .fetch_add(1, Ordering::Release);
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         match datagram {
             Datagram::Addressed(device, WireMessage::Probe(probe)) => {
                 match self.devices.get_mut(&device.0) {
@@ -277,7 +304,8 @@ impl Shard {
                     }
                     Some(slot) => {
                         let reply = slot.host.on_probe(now, probe);
-                        sends.push((from, encode(&WireMessage::Reply(reply))));
+                        self.outbox
+                            .push(from, |buf| encode_into(&WireMessage::Reply(reply), buf));
                     }
                     None => {
                         self.counters.unroutable.fetch_add(1, Ordering::Release);
@@ -289,7 +317,7 @@ impl Shard {
                 match self.probers.get_mut(&cp) {
                     Some(slot) if slot.started && !slot.prober.is_stopped() => {
                         slot.prober.on_reply(now, &reply, &mut actions);
-                        self.execute(cp, now, &mut actions, sends);
+                        self.execute(cp, now, &mut actions);
                     }
                     Some(_) => {}
                     None => {
@@ -309,7 +337,7 @@ impl Shard {
                     if let Some(slot) = self.probers.get_mut(&cp) {
                         slot.prober.on_bye(now, &mut actions);
                     }
-                    self.execute(cp, now, &mut actions, sends);
+                    self.execute(cp, now, &mut actions);
                 }
             }
             Datagram::Direct(WireMessage::LeaveNotice(notice))
@@ -326,7 +354,7 @@ impl Shard {
                     if let Some(slot) = self.probers.get_mut(&cp) {
                         slot.prober.on_leave_notice(now, &mut actions);
                     }
-                    self.execute(cp, now, &mut actions, sends);
+                    self.execute(cp, now, &mut actions);
                 }
             }
             // A bare probe has no target on a shared socket; an addressed
@@ -335,11 +363,25 @@ impl Shard {
                 self.counters.unroutable.fetch_add(1, Ordering::Release);
             }
         }
+        self.actions = actions;
     }
 
-    fn flush(&mut self, sends: &mut Vec<(SocketAddr, Vec<u8>)>) {
-        for (dest, bytes) in sends.drain(..) {
-            match self.socket.send_to(&bytes, dest) {
+    /// Receives up to a batch of datagrams without blocking.
+    fn drain(&mut self, clock: &dyn Clock) {
+        let mut buf = [0u8; MAX_DATAGRAM];
+        for _ in 0..self.recv_batch {
+            match self.socket.recv_from(&mut buf) {
+                Ok((n, from)) => self.handle_datagram(clock.now(), &buf[..n], from),
+                // WouldBlock: the socket is empty. Any other error ends
+                // the batch too; the next iteration retries.
+                Err(_) => break,
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        for (dest, range) in self.outbox.frames.drain(..) {
+            match self.socket.send_to(&self.outbox.bytes[range], dest) {
                 Ok(_) => {
                     self.counters.datagrams_sent.fetch_add(1, Ordering::Release);
                 }
@@ -350,6 +392,7 @@ impl Shard {
                 }
             }
         }
+        self.outbox.bytes.clear();
     }
 
     fn run(
@@ -357,43 +400,32 @@ impl Shard {
         clock: Arc<dyn Clock>,
         stop: StopFlag,
     ) -> (Vec<ProberReport>, Vec<DeviceReport>) {
-        let mut buf = [0u8; MAX_DATAGRAM];
-        let mut sends: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
+        let mut woken_by_datagram = false;
         while !stop.is_stopped() {
-            let mut work = 0u64;
-            let now = clock.now();
-            work += self.fire_due(now, &mut sends);
-
-            for _ in 0..self.recv_batch {
-                match self.socket.recv_from(&mut buf) {
-                    Ok((n, from)) => {
-                        work += 1;
-                        let now = clock.now();
-                        // Split borrow: copy out the datagram so handle_
-                        // datagram can take &mut self.
-                        let bytes = buf[..n].to_vec();
-                        self.handle_datagram(now, &bytes, from, &mut sends);
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        break;
-                    }
-                    Err(_) => break,
-                }
+            // Handle events in the order they happened, as far as the
+            // shard can tell. A wait that ran out found the socket empty
+            // at its deadline, so the timers due now precede anything
+            // received since. A wait a datagram ended came before the next
+            // deadline, so the socket is drained first: a reply waiting
+            // there must cancel its timeout before that is judged due.
+            if !woken_by_datagram {
+                self.fire_due(clock.now());
             }
-
-            work += sends.len() as u64;
-            self.flush(&mut sends);
-            self.publish_deadline();
+            self.drain(&*clock);
+            self.fire_due(clock.now());
+            self.flush();
+            let now = clock.now();
+            let wait = self.publish_deadline().map_or(self.poll_interval, |at| {
+                Duration::from_nanos(at.saturating_since(now).as_nanos()).min(self.poll_interval)
+            });
+            // Count the iteration only once its wait is fixed: a
+            // controller that sees the count move knows the shard now
+            // waits `wait` from this clock reading unless a datagram
+            // wakes it first.
             self.counters
                 .loop_iterations
                 .fetch_add(1, Ordering::Release);
-
-            if work == 0 {
-                thread::sleep(self.poll_interval);
-            }
+            woken_by_datagram = sys::wait_readable(&self.socket, wait);
         }
 
         let mut probers: Vec<ProberReport> = self
@@ -451,6 +483,8 @@ impl ShardedHost {
                 wheel: TimerWheel::new(),
                 recv_batch: config.recv_batch.max(1),
                 poll_interval: config.poll_interval,
+                actions: Vec::new(),
+                outbox: Outbox::default(),
             });
         }
         Ok(Self {
@@ -612,15 +646,30 @@ impl HostHandle {
     }
 
     /// Stops the host and collects the final report.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a shard thread, after every shard has been
+    /// joined: the first in shard order, with its original payload.
     #[must_use]
     pub fn join(self) -> HostReport {
         self.stop.stop();
         let mut probers = Vec::new();
         let mut devices = Vec::new();
+        let mut first_panic = None;
         for t in self.threads {
-            let (p, d) = t.join().expect("shard thread panicked");
-            probers.extend(p);
-            devices.extend(d);
+            match t.join() {
+                Ok((p, d)) => {
+                    probers.extend(p);
+                    devices.extend(d);
+                }
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
         probers.sort_by_key(|r| r.cp.0);
         devices.sort_by_key(|r| r.device.0);
@@ -640,8 +689,10 @@ impl HostHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SystemClock;
-    use presence_core::{DcppConfig, DcppCp, DcppDevice};
+    use crate::clock::{ManualClock, SystemClock};
+    use crate::codec::{encode, encode_addressed};
+    use presence_core::{DcppConfig, DcppCp, DcppDevice, Reply};
+    use presence_des::SimDuration;
 
     #[test]
     fn sharded_host_serves_dcpp_pairs_over_loopback() {
@@ -775,5 +826,141 @@ mod tests {
         assert_eq!(report.stats.decode_errors, 1);
         assert_eq!(report.stats.unroutable, 1);
         assert_eq!(report.stats.dropped(), 0);
+    }
+
+    /// A DCPP prober that panics on its first reply.
+    struct ExplodingProber(DcppCp);
+
+    impl Prober for ExplodingProber {
+        fn cp(&self) -> CpId {
+            self.0.cp()
+        }
+        fn start(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
+            self.0.start(now, out);
+        }
+        fn on_reply(&mut self, _now: SimTime, _reply: &Reply, _out: &mut Vec<CpAction>) {
+            panic!("prober exploded on reply");
+        }
+        fn on_timer(&mut self, now: SimTime, token: TimerToken, out: &mut Vec<CpAction>) {
+            self.0.on_timer(now, token, out);
+        }
+        fn on_bye(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
+            self.0.on_bye(now, out);
+        }
+        fn on_leave_notice(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
+            self.0.on_leave_notice(now, out);
+        }
+        fn stats(&self) -> &CpStats {
+            self.0.stats()
+        }
+        fn is_stopped(&self) -> bool {
+            self.0.is_stopped()
+        }
+        fn verdict(&self) -> Option<Verdict> {
+            self.0.verdict()
+        }
+        fn current_delay(&self) -> Option<SimDuration> {
+            self.0.current_delay()
+        }
+    }
+
+    #[test]
+    fn join_resurfaces_a_shard_panic_with_its_message() {
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+        let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        devices.add_device(DeviceHost::dcpp_paper(DeviceId(0)), None);
+        let mut cps = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
+        cps.add_prober(
+            Box::new(ExplodingProber(DcppCp::new(
+                CpId(1),
+                DcppConfig::paper_default(),
+            ))),
+            devices.addr_of(DeviceId(0)),
+            DeviceId(0),
+            SimTime::ZERO,
+        );
+        let dev_handle = devices.start(Arc::clone(&clock));
+        let cp_handle = cps.start(clock);
+
+        // The reply is counted just before it reaches the prober, so once
+        // the count moves the shard is bound to panic.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while cp_handle.stats().datagrams_received == 0 {
+            assert!(std::time::Instant::now() < deadline, "no reply arrived");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cp_handle.join()))
+            .expect_err("join must re-raise the shard's panic");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"prober exploded on reply")
+        );
+        let _ = dev_handle.join();
+    }
+
+    /// A reply already waiting in the socket is handled before the
+    /// timeout it answers is judged due; otherwise a shard kept off its
+    /// core past TOF would retransmit to a live device. A [`ManualClock`]
+    /// makes that stall exact: the clock jumps past TOF while the shard
+    /// waits, then the reply arrives.
+    #[test]
+    fn reply_in_the_socket_is_drained_before_its_timeout_fires() {
+        let mut cfg = DcppConfig::paper_default();
+        cfg.cycle.tof = SimDuration::from_secs(10);
+        let clock = ManualClock::new();
+        let config = HostConfig {
+            // Long enough that only a datagram ends the shard's wait.
+            poll_interval: Duration::from_secs(60),
+            ..HostConfig::loopback(1)
+        };
+        let device = UdpSocket::bind("127.0.0.1:0").unwrap();
+        device
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut cps = ShardedHost::bind(&config).unwrap();
+        cps.add_prober(
+            Box::new(DcppCp::new(CpId(0), cfg)),
+            device.local_addr().unwrap(),
+            DeviceId(0),
+            SimTime::ZERO,
+        );
+        let handle = cps.start(Arc::new(clock.clone()));
+
+        // The first iteration starts the prober and sends its probe.
+        let mut buf = [0u8; MAX_DATAGRAM];
+        let (n, from) = device.recv_from(&mut buf).expect("no probe sent");
+        let Ok(Datagram::Addressed(DeviceId(0), WireMessage::Probe(probe))) =
+            decode_datagram(&buf[..n])
+        else {
+            panic!("expected an addressed probe");
+        };
+        // Once that iteration is counted its wait is fixed from t = 0:
+        // ten seconds, to TOF.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while handle.iterations()[0] == 0 {
+            assert!(std::time::Instant::now() < deadline, "shard never iterated");
+            thread::sleep(Duration::from_millis(1));
+        }
+        clock.set(SimTime::from_secs_f64(11.0));
+        let reply = DcppDevice::new(DeviceId(0), cfg).on_probe(clock.now(), probe);
+        device
+            .send_to(&encode(&WireMessage::Reply(reply)), from)
+            .unwrap();
+        while handle.stats().datagrams_received == 0 {
+            assert!(std::time::Instant::now() < deadline, "reply never arrived");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let report = handle.join();
+
+        let stats = report.probers[0].stats;
+        assert_eq!(stats.probes_sent, 1, "the stall caused a retransmission");
+        assert_eq!(stats.retransmissions, 0);
+        assert_eq!(stats.cycles_succeeded, 1);
+        assert!(report.probers[0].verdict.is_none());
+        device.set_nonblocking(true).unwrap();
+        assert!(
+            device.recv_from(&mut buf).is_err(),
+            "a second probe was sent"
+        );
     }
 }

@@ -5,7 +5,8 @@
 use presence_core::{Bye, CpId, DeviceId, LeaveNotice, Probe, Reply, ReplyBody, WireMessage};
 use presence_des::SimDuration;
 use presence_runtime::codec::{
-    decode, decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM,
+    decode, decode_datagram, encode, encode_addressed, encode_addressed_into, encode_into,
+    Datagram, MAX_DATAGRAM,
 };
 use proptest::prelude::*;
 
@@ -153,5 +154,30 @@ proptest! {
         let bytes = encode_addressed(DeviceId(dev), &msg);
         let back = decode_datagram(&bytes).expect("decode addressed");
         prop_assert_eq!(back, Datagram::Addressed(DeviceId(dev), msg));
+    }
+
+    /// The appending encoders write exactly what the allocating ones
+    /// return, after whatever the buffer already held, and leave that
+    /// prefix untouched — the contract a shared send arena relies on.
+    #[test]
+    fn encode_into_appends_the_same_bytes(
+        msg in any_message(),
+        dev in any::<u32>(),
+        prefix in prop::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let mut buf = prefix.clone();
+        encode_into(&msg, &mut buf);
+        prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&buf[prefix.len()..], &encode(&msg)[..]);
+
+        let mut buf = prefix.clone();
+        encode_addressed_into(DeviceId(dev), &msg, &mut buf);
+        prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&buf[prefix.len()..], &encode_addressed(DeviceId(dev), &msg)[..]);
+        // The frame is the 5-byte envelope followed by the bare message.
+        let mut frame = vec![0x06];
+        frame.extend_from_slice(&dev.to_le_bytes());
+        frame.extend_from_slice(&encode(&msg));
+        prop_assert_eq!(&buf[prefix.len()..], &frame[..]);
     }
 }

@@ -95,6 +95,13 @@ RUNTIME_SHARDS=1 cargo run --release -q -p presence-bench --bin conformance
 RUNTIME_SHARDS=4 cargo run --release -q -p presence-bench --bin conformance
 echo "==> conformance stress: 10k devices on loopback, zero-drop gate (RUNTIME_SHARDS=4)"
 RUNTIME_SHARDS=4 cargo run --release -q -p presence-bench --bin conformance -- --stress 10000
+# The live demo asserts that all three CPs detect the device's crash, so
+# it runs here rather than only compiling; and a live shard must count
+# every hostile datagram (garbage, truncated, corrupted, misaddressed)
+# exactly once, soaked at 1024 generated batches.
+echo "==> live demo + garbage soak: udp_live_demo, live_garbage (PROPTEST_CASES=1024)"
+cargo run --release -q --example udp_live_demo
+PROPTEST_CASES=1024 cargo test --release -q -p presence-runtime --test live_garbage
 
 # Mega-scale smoke: the 100k-device calendar-queue + streaming-recorder
 # configuration (mega-ci) must finish with sane physics (wait mean at the

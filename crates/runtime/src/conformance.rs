@@ -37,8 +37,7 @@
 //! are required for margin.
 
 use crate::clock::{Clock, ManualClock};
-use crate::host::DeviceHost;
-use crate::shard::{HostConfig, HostHandle, ShardedHost};
+use crate::shard::{DeviceHost, HostConfig, HostHandle, ShardedHost};
 use presence_core::{
     CpAction, CpId, CpStats, DcppConfig, DcppCp, DcppDevice, DeviceId, Prober, SappConfig, SappCp,
     SappDevice, SappDeviceConfig, TimerToken, Verdict, WireMessage,

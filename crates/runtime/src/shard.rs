@@ -1,18 +1,18 @@
 //! The sharded presence host: a multi-socket UDP event loop serving many
 //! device and prober machines from a fixed pool of worker threads.
 //!
-//! [`run_device`]/[`run_cp`] host *one* machine per thread — fine for a
-//! demo, hopeless for the paper's deployment target of thousands of
-//! devices. [`ShardedHost`] hashes machines across `RUNTIME_SHARDS` worker
-//! threads. Each shard owns exactly one UDP socket (no cross-thread socket
-//! contention), a [`TimerWheel`] keyed by `(machine, token)`, and a send
-//! arena. Each loop iteration drains up to a batch of datagrams
-//! non-blockingly and routes each through the [`codec`](crate::codec),
-//! then fires every timer now due, flushes the queued sends and
-//! republishes its earliest deadline. Then it blocks until a datagram
-//! arrives or that deadline comes, whichever is first, but never longer
-//! than [`HostConfig::poll_interval`]. The wait is `ppoll(2)` on the
-//! shard's socket (`sys.rs`, the crate's only `unsafe`).
+//! [`ShardedHost`] is the one way the runtime serves the protocol machines,
+//! from a single demo pair up to the paper's thousands of devices. It
+//! hashes machines across `RUNTIME_SHARDS` worker threads. Each shard owns
+//! exactly one UDP socket (no cross-thread socket contention), a
+//! [`TimerWheel`] keyed by `(machine, token)`, and a send arena. Each loop
+//! iteration drains up to a batch of datagrams non-blockingly and routes
+//! each through the [`codec`](crate::codec), then fires every timer now
+//! due, flushes the queued sends and republishes its earliest deadline.
+//! Then it blocks until a datagram arrives or that deadline comes,
+//! whichever is first, but never longer than
+//! [`HostConfig::poll_interval`]. The wait is `ppoll(2)` on the shard's
+//! socket (`sys.rs`, the crate's only `unsafe`).
 //!
 //! The order within an iteration follows what ended the wait. A datagram
 //! arrived before the next deadline, so the socket is drained first: a
@@ -41,28 +41,33 @@
 //! instrument: `loop_iterations` proves a shard completed full
 //! drain-and-fire passes, `activity()` proves those passes found nothing
 //! to do.
-//!
-//! [`run_device`]: crate::run_device
-//! [`run_cp`]: crate::run_cp
 
 use crate::clock::Clock;
 use crate::codec::{decode_datagram, encode_addressed_into, encode_into, Datagram, MAX_DATAGRAM};
-use crate::host::{DeviceHost, StopFlag};
 use crate::stats::{ShardCounters, ShardStats, NO_DEADLINE};
 use crate::sys;
 use crate::wheel::TimerWheel;
-use presence_core::{CpAction, CpId, CpStats, DeviceId, Prober, TimerToken, Verdict, WireMessage};
+use presence_core::{
+    CpAction, CpId, CpStats, DcppConfig, DcppDevice, DeviceId, Probe, Prober, Reply, SappDevice,
+    SappDeviceConfig, TimerToken, Verdict, WireMessage,
+};
 use presence_des::SimTime;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Configuration of a [`ShardedHost`].
+///
+/// A shard never retries a send: when `send_to` fails (a full socket
+/// buffer, an unreachable peer) the datagram is shed and counted in
+/// [`ShardCounters::dropped_sendpressure`]. The protocol's own
+/// retransmission is the retry — a CP whose probe or reply is lost probes
+/// again after its timeout, exactly as over a lossy network.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Worker threads (= sockets). Machines are hashed across shards by
@@ -119,6 +124,76 @@ pub fn shards_from_env() -> usize {
                 .map(|n| n.get().min(4))
                 .unwrap_or(1)
         })
+}
+
+/// The shard serving the machine with this device or CP id, out of
+/// `shards`. The one home of the hashing rule: [`ShardedHost`] places
+/// machines with it and [`HostHandle::addr_of`] finds them with it.
+fn shard_of(id: u32, shards: usize) -> usize {
+    id as usize % shards
+}
+
+/// Cooperative shutdown flag shared by a host's shard threads and its
+/// handle.
+#[derive(Debug, Clone, Default)]
+struct StopFlag(Arc<AtomicBool>);
+
+impl StopFlag {
+    fn stop(&self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+
+    fn is_stopped(&self) -> bool {
+        self.0.load(Ordering::SeqCst)
+    }
+}
+
+/// A device machine a [`ShardedHost`] serves.
+pub enum DeviceHost {
+    /// A SAPP device.
+    Sapp(SappDevice),
+    /// A DCPP device.
+    Dcpp(DcppDevice),
+}
+
+impl DeviceHost {
+    /// A DCPP device with paper-default configuration.
+    #[must_use]
+    pub fn dcpp_paper(id: DeviceId) -> Self {
+        DeviceHost::Dcpp(DcppDevice::new(id, DcppConfig::paper_default()))
+    }
+
+    /// A SAPP device with paper-default configuration.
+    #[must_use]
+    pub fn sapp_paper(id: DeviceId) -> Self {
+        DeviceHost::Sapp(SappDevice::new(id, SappDeviceConfig::paper_default()))
+    }
+
+    /// Probes answered so far.
+    #[must_use]
+    pub fn probes_received(&self) -> u64 {
+        match self {
+            DeviceHost::Sapp(d) => d.probes_received(),
+            DeviceHost::Dcpp(d) => d.probes_received(),
+        }
+    }
+
+    /// The device's identity.
+    #[must_use]
+    pub fn id(&self) -> DeviceId {
+        match self {
+            DeviceHost::Sapp(d) => d.id(),
+            DeviceHost::Dcpp(d) => d.id(),
+        }
+    }
+
+    /// Answers one probe, whichever protocol the device speaks.
+    pub fn on_probe(&mut self, now: SimTime, probe: Probe) -> Reply {
+        match self {
+            DeviceHost::Sapp(d) => d.on_probe(now, probe),
+            DeviceHost::Dcpp(d) => d.on_probe(now, probe),
+        }
+    }
 }
 
 /// Timer-wheel key for one shard: which machine, which timer.
@@ -222,9 +297,10 @@ impl Shard {
         next
     }
 
-    /// Executes one prober's pending actions. `emitted_at` is the instant
-    /// the machine was called with — timers arm relative to it, not to a
-    /// fresh clock read (see `run_cp`'s emission-instant rule).
+    /// Executes one prober's pending actions. Timers arm relative to
+    /// `emitted_at`, the `now` the prober computed them against: a fresh
+    /// clock read (after a slow send, or under load) would drift every
+    /// deadline late by the handling latency.
     fn execute(&mut self, cp: u32, emitted_at: SimTime, actions: &mut Vec<CpAction>) {
         for action in actions.drain(..) {
             match action {
@@ -428,26 +504,17 @@ impl Shard {
             woken_by_datagram = sys::wait_readable(&self.socket, wait);
         }
 
-        let mut probers: Vec<ProberReport> = self
-            .probers
-            .into_values()
-            .map(|s| ProberReport {
-                cp: s.prober.cp(),
-                verdict: s.prober.verdict(),
-                stats: *s.prober.stats(),
-            })
-            .collect();
-        probers.sort_by_key(|r| r.cp.0);
-        let mut devices: Vec<DeviceReport> = self
-            .devices
-            .into_values()
-            .map(|s| DeviceReport {
-                device: s.host.id(),
-                probes_received: s.host.probes_received(),
-            })
-            .collect();
-        devices.sort_by_key(|r| r.device.0);
-        (probers, devices)
+        // Unsorted: `HostHandle::join` sorts the reports of all shards.
+        let probers = self.probers.into_values().map(|s| ProberReport {
+            cp: s.prober.cp(),
+            verdict: s.prober.verdict(),
+            stats: *s.prober.stats(),
+        });
+        let devices = self.devices.into_values().map(|s| DeviceReport {
+            device: s.host.id(),
+            probes_received: s.host.probes_received(),
+        });
+        (probers.collect(), devices.collect())
     }
 }
 
@@ -494,19 +561,11 @@ impl ShardedHost {
         })
     }
 
-    fn shard_of_device(&self, device: DeviceId) -> usize {
-        device.0 as usize % self.shards.len()
-    }
-
-    fn shard_of_cp(&self, cp: CpId) -> usize {
-        cp.0 as usize % self.shards.len()
-    }
-
     /// Adds a device machine, optionally scheduling the instant it goes
     /// silent (models departure without deregistration).
     pub fn add_device(&mut self, host: DeviceHost, silence_at: Option<SimTime>) {
         let id = host.id();
-        let idx = self.shard_of_device(id);
+        let idx = shard_of(id.0, self.shards.len());
         let shard = &mut self.shards[idx];
         if let Some(at) = silence_at {
             shard.wheel.insert(WheelKey::SilenceDevice(id.0), at);
@@ -530,7 +589,7 @@ impl ShardedHost {
         start_at: SimTime,
     ) {
         let cp = prober.cp();
-        let idx = self.shard_of_cp(cp);
+        let idx = shard_of(cp.0, self.shards.len());
         let shard = &mut self.shards[idx];
         shard.wheel.insert(WheelKey::StartProber(cp.0), start_at);
         shard.probers.insert(
@@ -548,7 +607,7 @@ impl ShardedHost {
     /// added; stable across [`start`](ShardedHost::start)).
     #[must_use]
     pub fn addr_of(&self, device: DeviceId) -> SocketAddr {
-        self.addrs[self.shard_of_device(device)]
+        self.addrs[shard_of(device.0, self.addrs.len())]
     }
 
     /// All shard socket addresses, in shard order.
@@ -561,7 +620,7 @@ impl ShardedHost {
     /// [`HostHandle::stop`].
     #[must_use]
     pub fn start(mut self, clock: Arc<dyn Clock>) -> HostHandle {
-        let stop = StopFlag::new();
+        let stop = StopFlag::default();
         // Publish each shard's seeded deadline BEFORE its thread exists,
         // so a controller sampling immediately after `start` never sees
         // an empty wheel that is about to become non-empty.
@@ -603,7 +662,7 @@ impl HostHandle {
     /// The socket address serving `device`.
     #[must_use]
     pub fn addr_of(&self, device: DeviceId) -> SocketAddr {
-        self.addrs[device.0 as usize % self.addrs.len()]
+        self.addrs[shard_of(device.0, self.addrs.len())]
     }
 
     /// Summed live counters across shards.
@@ -896,6 +955,108 @@ mod tests {
             Some(&"prober exploded on reply")
         );
         let _ = dev_handle.join();
+    }
+
+    /// A clock that advances a fixed step on every read: a heavily loaded
+    /// host where real time passes between a machine emitting an action
+    /// and the shard executing it.
+    struct TickingClock {
+        now: std::sync::Mutex<SimTime>,
+        step: SimDuration,
+    }
+
+    impl Clock for TickingClock {
+        fn now(&self) -> SimTime {
+            let mut now = self.now.lock().unwrap();
+            *now += self.step;
+            *now
+        }
+    }
+
+    /// A prober that arms one 100 ms timer at start and declares absence
+    /// the instant it fires, exposing exactly when the shard fired it.
+    #[derive(Default)]
+    struct OneShotProber {
+        stats: CpStats,
+        verdict: Option<Verdict>,
+    }
+
+    impl Prober for OneShotProber {
+        fn cp(&self) -> CpId {
+            CpId(0)
+        }
+        fn start(&mut self, _now: SimTime, out: &mut Vec<CpAction>) {
+            out.push(CpAction::StartTimer {
+                token: TimerToken(1),
+                after: SimDuration::from_millis(100),
+            });
+        }
+        fn on_reply(&mut self, _: SimTime, _: &Reply, _: &mut Vec<CpAction>) {}
+        fn on_timer(&mut self, now: SimTime, token: TimerToken, _: &mut Vec<CpAction>) {
+            assert_eq!(token, TimerToken(1));
+            self.verdict = Some(Verdict {
+                at: now,
+                reason: presence_core::AbsenceReason::ProbeTimeout,
+            });
+        }
+        fn on_bye(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
+        fn on_leave_notice(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
+        fn stats(&self) -> &CpStats {
+            &self.stats
+        }
+        fn is_stopped(&self) -> bool {
+            self.verdict.is_some()
+        }
+        fn verdict(&self) -> Option<Verdict> {
+            self.verdict
+        }
+        fn current_delay(&self) -> Option<SimDuration> {
+            None
+        }
+    }
+
+    /// A timer arms relative to the `now` its machine was called with,
+    /// not to a later clock read. The clock below moves 10 ms per read and
+    /// an idle pass reads it three times (fire, fire, wait), so the
+    /// prober starts on the first read and its deadline, ten reads later,
+    /// lands on a firing read. Arming at a fresh read would move the
+    /// deadline, and the firing, one step later.
+    #[test]
+    fn timers_arm_at_emission_instant_not_drain_instant() {
+        let clock = Arc::new(TickingClock {
+            now: std::sync::Mutex::new(SimTime::ZERO),
+            step: SimDuration::from_millis(10),
+        });
+        let config = HostConfig {
+            poll_interval: Duration::from_micros(200),
+            ..HostConfig::loopback(1)
+        };
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut cps = ShardedHost::bind(&config).unwrap();
+        cps.add_prober(
+            Box::new(OneShotProber::default()),
+            peer.local_addr().unwrap(),
+            DeviceId(0),
+            SimTime::ZERO,
+        );
+        let handle = cps.start(clock);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        // The start entry and the prober's one timer.
+        while handle.stats().timers_fired < 2 {
+            assert!(std::time::Instant::now() < deadline, "timer never fired");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let report = handle.join();
+
+        // The first read, at 10 ms, started the prober.
+        let start = SimTime::from_nanos(10_000_000);
+        let verdict = report.probers[0].verdict.expect("timer never fired");
+        assert_eq!(
+            verdict.at,
+            start + SimDuration::from_millis(100),
+            "deadline drifted: fired at {} s",
+            verdict.at.as_secs_f64()
+        );
     }
 
     /// A reply already waiting in the socket is handled before the

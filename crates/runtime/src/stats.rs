@@ -33,7 +33,8 @@ pub struct ShardCounters {
     /// Datagrams addressed to a device that has gone silent (departed).
     pub dropped_departed: AtomicU64,
     /// Outbound datagrams dropped because the kernel would not accept
-    /// them (send buffer full) or the send errored.
+    /// them (send buffer full) or the send errored. A failed send is shed,
+    /// not retried: the protocol's own retransmission is the retry.
     pub dropped_sendpressure: AtomicU64,
     /// Timer-wheel entries fired.
     pub timers_fired: AtomicU64,

@@ -1,131 +1,129 @@
-//! A lazily-reconciled timer wheel for the wall-clock hosts.
+//! The timer store of a shard: cancellable timers keyed by `(machine,
+//! token)` over the simulator's own event queue.
 //!
-//! `run_cp`'s original timer store was a `BTreeMap<TimerToken, SimTime>`
-//! scanned in full on every loop iteration — fine for one prober with two
-//! timers, hopeless for a shard hosting thousands. [`TimerWheel`] follows
-//! the `TimerSlots` philosophy from the simulator: the *authoritative*
-//! state is a plain map from key to deadline, and the ordered structure is
-//! only a schedule cache that is reconciled lazily.
-//!
-//! * `insert` / `cancel` are O(1) map operations plus (for insert) a heap
-//!   push; `cancel` never touches the heap.
-//! * `pop_due` / `next_deadline` pop heap entries and validate each
-//!   against the authoritative map — entries whose key was cancelled or
-//!   re-armed since are stale and discarded. Every armed timer creates
-//!   exactly one heap entry, so stale entries are bounded by the number of
-//!   `insert` calls and each is discarded exactly once: amortised
-//!   O(log n) per armed timer, no tombstone leak.
-//!
-//! Keys are generic so one wheel serves both the single-prober [`run_cp`]
-//! loop (keys are [`presence_core::TimerToken`]) and a shard loop (keys
-//! are `(slot, token)` pairs).
-//!
-//! [`run_cp`]: crate::run_cp
+//! [`TimerWheel`] is a thin key layer over [`presence_des::EventQueue`]
+//! (O(1) cancel, no tombstones), which orders timers by `(deadline, seq)`.
+//! A key → `(seq, deadline)` map gives cancel by key; re-arming an armed
+//! key uses [`EventQueue::reschedule`]; `pop_due` pops while the earliest
+//! deadline is at or before `now`. Every arming takes the next sequence
+//! number, so timers with equal deadlines fire in the order they were
+//! (last) armed — the order the DES oracle fires them in, which the
+//! conformance suite relies on.
 
-use presence_des::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::Hash;
+use presence_des::{splitmix64, EventQueue, SimTime};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Hasher for the key map. Keys are a shard's own machine ids and timer
+/// tokens, never chosen by a peer, so a keyed SipHash buys nothing here
+/// and would cost more than the queue operation it guards.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+}
 
 /// A map from timer keys to deadlines with an efficient
 /// earliest-deadline-first drain.
 #[derive(Debug)]
 pub struct TimerWheel<K> {
-    /// The truth: live deadline and arming generation per key.
-    live: HashMap<K, (SimTime, u64)>,
-    /// The schedule cache: every arming pushes `(deadline, generation,
-    /// key)`; entries are validated against `live` when popped.
-    heap: BinaryHeap<Reverse<(SimTime, u64, K)>>,
-    /// Arming generation counter — distinguishes a live entry from a
-    /// stale one even when a key is re-armed at the same deadline.
-    generation: u64,
+    /// Armed timers in firing order; each carries its key.
+    queue: EventQueue<K>,
+    /// Armed key → its queue sequence number and deadline.
+    armed: HashMap<K, (u64, SimTime), BuildHasherDefault<KeyHasher>>,
+    /// The sequence number the next arming takes.
+    next_seq: u64,
 }
 
-impl<K: Copy + Eq + Hash + Ord> Default for TimerWheel<K> {
+impl<K: Copy + Eq + Hash> Default for TimerWheel<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Copy + Eq + Hash + Ord> TimerWheel<K> {
+impl<K: Copy + Eq + Hash> TimerWheel<K> {
     /// Creates an empty wheel.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            live: HashMap::new(),
-            heap: BinaryHeap::new(),
-            generation: 0,
+            queue: EventQueue::new(),
+            armed: HashMap::default(),
+            next_seq: 0,
         }
     }
 
     /// Number of live timers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.armed.len()
     }
 
     /// Whether no timers are live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.armed.is_empty()
     }
 
     /// Arms (or re-arms) the timer under `key` to fire at `at`. Returns
     /// the previous deadline if the key was already armed.
     pub fn insert(&mut self, key: K, at: SimTime) -> Option<SimTime> {
-        self.generation += 1;
-        let prev = self.live.insert(key, (at, self.generation));
-        self.heap.push(Reverse((at, self.generation, key)));
-        prev.map(|(t, _)| t)
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        match self.armed.insert(key, (seq, at)) {
+            Some((prev_seq, prev_at)) => {
+                self.queue.reschedule(prev_seq, at, seq);
+                Some(prev_at)
+            }
+            None => {
+                self.queue.push(at, seq, key);
+                None
+            }
+        }
     }
 
     /// Disarms the timer under `key`. Returns its deadline if it was live.
-    /// The stale schedule-cache entry is discarded lazily.
     pub fn cancel(&mut self, key: K) -> Option<SimTime> {
-        self.live.remove(&key).map(|(t, _)| t)
+        let (seq, at) = self.armed.remove(&key)?;
+        self.queue.cancel(seq);
+        Some(at)
     }
 
     /// The deadline armed under `key`, if live.
     #[must_use]
     pub fn deadline_of(&self, key: K) -> Option<SimTime> {
-        self.live.get(&key).map(|&(t, _)| t)
-    }
-
-    /// Discards stale heap entries until the top is live (or the heap is
-    /// empty).
-    fn reconcile(&mut self) {
-        while let Some(Reverse((at, generation, key))) = self.heap.peek() {
-            match self.live.get(key) {
-                Some(&(live_at, live_generation))
-                    if live_at == *at && live_generation == *generation =>
-                {
-                    return;
-                }
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
+        self.armed.get(&key).map(|&(_, at)| at)
     }
 
     /// The earliest live deadline.
     #[must_use]
     pub fn next_deadline(&mut self) -> Option<SimTime> {
-        self.reconcile();
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        self.queue.peek().map(|k| k.time)
     }
 
     /// Removes and returns the earliest live timer if its deadline is at
     /// or before `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(K, SimTime)> {
-        self.reconcile();
-        let Reverse((at, _, key)) = self.heap.peek().copied()?;
-        if at > now {
+        if self.queue.peek()?.time > now {
             return None;
         }
-        self.heap.pop();
-        self.live.remove(&key);
-        Some((key, at))
+        let (event, key) = self.queue.pop()?;
+        self.armed.remove(&key);
+        Some((key, event.time))
     }
 }
 
@@ -167,8 +165,8 @@ mod tests {
     fn rearm_supersedes_even_at_same_deadline() {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         w.insert(1, t(10));
-        // Cancel + re-arm at the SAME deadline: the generation counter
-        // must keep the stale cache entry from double-firing the key.
+        // Cancel + re-arm at the SAME deadline: the cancelled arming
+        // must not fire the key a second time.
         assert_eq!(w.cancel(1), Some(t(10)));
         w.insert(1, t(10));
         assert_eq!(w.pop_due(t(10)), Some((1, t(10))));
@@ -183,6 +181,18 @@ mod tests {
         assert_eq!(w.insert(1, t(50)), Some(t(10)));
         assert_eq!(w.pop_due(t(20)), None, "superseded deadline fired");
         assert_eq!(w.pop_due(t(50)), Some((1, t(50))));
+    }
+
+    #[test]
+    fn equal_deadlines_fire_in_arming_order() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        w.insert(1, t(10));
+        w.insert(2, t(10));
+        w.insert(3, t(10));
+        // Re-arming moves a key behind everything armed before it.
+        w.insert(1, t(10));
+        let order: Vec<u32> = std::iter::from_fn(|| w.pop_due(t(10)).map(|(k, _)| k)).collect();
+        assert_eq!(order, [2, 3, 1]);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! vs wall-clock runtime agreement, and the overlay dissemination path.
 
 use presence::core::{CpId, DcppConfig, DcppCp, DeviceId};
-use presence::des::SimDuration;
-use presence::runtime::{run_cp, run_device, DeviceHost, InMemoryTransport, StopFlag, SystemClock};
+use presence::des::{SimDuration, SimTime};
+use presence::runtime::{Clock, DeviceHost, HostConfig, ShardedHost, SystemClock};
 use presence::sim::test_profile::horizon;
 use presence::sim::{ChurnModel, LossKind, Protocol, Scenario, ScenarioConfig};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -49,25 +50,24 @@ fn simulator_and_runtime_agree_on_dcpp_cadence() {
     cfg.delta_min = SimDuration::from_millis(10);
     cfg.d_min = SimDuration::from_millis(50);
 
-    let (cp_side, dev_side) = InMemoryTransport::pair();
-    let stop = StopFlag::new();
-    let clock = SystemClock::new();
-    let dev_stop = stop.clone();
-    let dev_clock = clock.clone();
-    let dev = thread::spawn(move || {
-        run_device(
-            DeviceHost::Dcpp(presence::core::DcppDevice::new(DeviceId(0), cfg)),
-            dev_side,
-            &dev_clock,
-            &dev_stop,
-        )
-    });
-    let cp_stop = stop.clone();
-    let cp = thread::spawn(move || run_cp(DcppCp::new(CpId(0), cfg), cp_side, &clock, &cp_stop));
+    let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+    let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind device host");
+    devices.add_device(
+        DeviceHost::Dcpp(presence::core::DcppDevice::new(DeviceId(0), cfg)),
+        None,
+    );
+    let mut cps = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind CP host");
+    cps.add_prober(
+        Box::new(DcppCp::new(CpId(0), cfg)),
+        devices.addr_of(DeviceId(0)),
+        DeviceId(0),
+        SimTime::ZERO,
+    );
+    let devices = devices.start(Arc::clone(&clock));
+    let cps = cps.start(clock);
     thread::sleep(Duration::from_millis(1_000));
-    stop.stop();
-    let outcome = cp.join().unwrap();
-    let _ = dev.join().unwrap();
+    let prober = cps.join().probers.remove(0);
+    let _ = devices.join();
 
     // --- simulator: the same config, 1 CP, 1 virtual second.
     let mut sim_cfg = ScenarioConfig::paper_defaults(Protocol::Dcpp { cfg }, 1, 1.0, 9);
@@ -79,7 +79,7 @@ fn simulator_and_runtime_agree_on_dcpp_cadence() {
 
     // Both should complete ≈ 1 s / 50 ms = 20 cycles; allow generous slack
     // for wall-clock scheduling noise.
-    let rt = outcome.cycles_succeeded as f64;
+    let rt = prober.stats.cycles_succeeded as f64;
     let sim = sim_cycles as f64;
     assert!(rt > 10.0, "runtime managed only {rt} cycles");
     assert!(sim > 10.0, "simulator managed only {sim} cycles");

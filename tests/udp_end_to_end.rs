@@ -1,28 +1,37 @@
 //! End-to-end tests over real loopback UDP sockets: both protocols, real
 //! threads, real timers — the deployment configuration, not the simulator.
+//! Each test serves its devices from one one-shard [`ShardedHost`] and its
+//! probers from another.
 
 use presence::core::{
-    CpId, DcppConfig, DcppCp, DeviceId, ProbeCycleConfig, SappConfig, SappCp, SappDeviceConfig,
+    CpId, DcppConfig, DcppCp, DeviceId, ProbeCycleConfig, Prober, SappConfig, SappCp,
+    SappDeviceConfig,
 };
-use presence::des::SimDuration;
-use presence::runtime::{
-    run_cp, run_device, CpOutcome, DeviceHost, StopFlag, SystemClock, UdpTransport,
-};
+use presence::des::{SimDuration, SimTime};
+use presence::runtime::{Clock, DeviceHost, HostConfig, HostHandle, ShardedHost, SystemClock};
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn spawn_device(
-    host: DeviceHost,
-    stop: &StopFlag,
-) -> (std::net::SocketAddr, thread::JoinHandle<DeviceHost>) {
-    let transport = UdpTransport::server("127.0.0.1:0").expect("bind device");
-    let addr = transport.local_addr().expect("addr");
-    let stop = stop.clone();
-    let handle = thread::spawn(move || {
-        let clock = SystemClock::new();
-        run_device(host, transport, &clock, &stop)
-    });
-    (addr, handle)
+/// Starts a device host serving `device` (silent from `silence_at`, if
+/// given) and a CP host running `probers` against it, all from t = 0.
+/// Returns both handles and the CP host's socket address.
+fn serve_pair(
+    device: DeviceHost,
+    silence_at: Option<SimTime>,
+    probers: Vec<Box<dyn Prober + Send>>,
+) -> (HostHandle, HostHandle, SocketAddr) {
+    let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+    let id = device.id();
+    let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind device");
+    devices.add_device(device, silence_at);
+    let mut cps = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind cp");
+    for prober in probers {
+        cps.add_prober(prober, devices.addr_of(id), id, SimTime::ZERO);
+    }
+    let cp_addr = cps.local_addrs()[0];
+    (devices.start(Arc::clone(&clock)), cps.start(clock), cp_addr)
 }
 
 #[test]
@@ -32,38 +41,29 @@ fn dcpp_over_udp_many_cps() {
     cfg.delta_min = SimDuration::from_millis(10);
     cfg.d_min = SimDuration::from_millis(40);
 
-    let stop = StopFlag::new();
-    let (addr, device) = spawn_device(
+    let probers = (0..5u32)
+        .map(|i| Box::new(DcppCp::new(CpId(i), cfg)) as Box<dyn Prober + Send>)
+        .collect();
+    let (device, cps, _) = serve_pair(
         DeviceHost::Dcpp(presence::core::DcppDevice::new(DeviceId(0), cfg)),
-        &stop,
+        None,
+        probers,
     );
 
-    let mut cps: Vec<thread::JoinHandle<CpOutcome>> = Vec::new();
-    for i in 0..5u32 {
-        let transport = UdpTransport::client("127.0.0.1:0", addr).expect("bind cp");
-        let prober = DcppCp::new(CpId(i), cfg);
-        let stop = stop.clone();
-        cps.push(thread::spawn(move || {
-            let clock = SystemClock::new();
-            run_cp(prober, transport, &clock, &stop)
-        }));
-    }
-
     thread::sleep(Duration::from_millis(800));
-    stop.stop();
-    let device = device.join().expect("device thread");
+    let cps = cps.join();
+    let device = device.join();
 
     let mut total_cycles = 0;
-    for cp in cps {
-        let outcome = cp.join().expect("cp thread");
-        assert!(outcome.device_absent_at.is_none(), "false verdict over UDP");
-        total_cycles += outcome.cycles_succeeded;
+    for p in &cps.probers {
+        assert!(p.verdict.is_none(), "false verdict over UDP");
+        total_cycles += p.stats.cycles_succeeded;
     }
     assert!(
         total_cycles >= 20,
         "only {total_cycles} cycles across 5 CPs in 800 ms"
     );
-    assert!(device.probes_received() >= total_cycles);
+    assert!(device.devices[0].probes_received >= total_cycles);
 }
 
 #[test]
@@ -78,31 +78,31 @@ fn sapp_over_udp_adapts_and_detects_crash() {
     };
     let dev_cfg = SappDeviceConfig::paper_default();
 
-    let stop = StopFlag::new();
-    let (addr, device) = spawn_device(
+    let (device, cps, _) = serve_pair(
         DeviceHost::Sapp(presence::core::SappDevice::new(DeviceId(0), dev_cfg)),
-        &stop,
+        Some(SimTime::from_secs_f64(0.5)),
+        vec![Box::new(SappCp::new(CpId(0), cp_cfg))],
     );
 
-    let transport = UdpTransport::client("127.0.0.1:0", addr).expect("bind cp");
-    let prober = SappCp::new(CpId(0), cp_cfg);
-    let cp_stop = StopFlag::new();
-    let cp = thread::spawn(move || {
-        let clock = SystemClock::new();
-        run_cp(prober, transport, &clock, &cp_stop)
-    });
-
-    thread::sleep(Duration::from_millis(500));
-    stop.stop(); // kill the device only; the CP keeps probing
-    let device = device.join().expect("device thread");
-    assert!(device.probes_received() > 3, "device barely probed");
-
-    let outcome = cp.join().expect("cp thread");
+    // A live prober always has a timer armed; once it has concluded, the
+    // CP host's wheel runs empty.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while cps.next_deadline().is_some() && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+    }
+    let cp = cps.join().probers.remove(0);
+    let device = device.join();
     assert!(
-        outcome.device_absent_at.is_some(),
-        "CP never noticed the crash"
+        device.devices[0].probes_received > 3,
+        "device barely probed"
     );
-    assert!(outcome.cycles_succeeded > 3);
+
+    let verdict = cp.verdict.expect("CP never noticed the crash");
+    assert!(
+        verdict.at >= SimTime::from_secs_f64(0.5),
+        "verdict before the crash"
+    );
+    assert!(cp.stats.cycles_succeeded > 3);
 }
 
 #[test]
@@ -114,20 +114,11 @@ fn udp_cp_survives_garbage_datagrams() {
     cfg.d_min = SimDuration::from_millis(30);
     cfg.cycle = ProbeCycleConfig::paper_default();
 
-    let stop = StopFlag::new();
-    let (addr, device) = spawn_device(
+    let (device, cps, cp_local) = serve_pair(
         DeviceHost::Dcpp(presence::core::DcppDevice::new(DeviceId(0), cfg)),
-        &stop,
+        None,
+        vec![Box::new(DcppCp::new(CpId(0), cfg))],
     );
-
-    let transport = UdpTransport::client("127.0.0.1:0", addr).expect("bind cp");
-    let cp_local = transport.local_addr().expect("local");
-    let prober = DcppCp::new(CpId(0), cfg);
-    let cp_stop = stop.clone();
-    let cp = thread::spawn(move || {
-        let clock = SystemClock::new();
-        run_cp(prober, transport, &clock, &cp_stop)
-    });
 
     // Garbage sprayer.
     let noise = std::net::UdpSocket::bind("127.0.0.1:0").expect("noise socket");
@@ -139,16 +130,17 @@ fn udp_cp_survives_garbage_datagrams() {
     }
 
     thread::sleep(Duration::from_millis(400));
-    stop.stop();
-    let outcome = cp.join().expect("cp thread");
-    let _ = device.join().expect("device thread");
+    let cps = cps.join();
+    let _ = device.join();
+    let cp = &cps.probers[0];
     assert!(
-        outcome.device_absent_at.is_none(),
+        cp.verdict.is_none(),
         "garbage datagrams tricked the CP into a verdict"
     );
     assert!(
-        outcome.cycles_succeeded >= 5,
+        cp.stats.cycles_succeeded >= 5,
         "garbage stalled the protocol: {} cycles",
-        outcome.cycles_succeeded
+        cp.stats.cycles_succeeded
     );
+    assert_eq!(cps.stats.decode_errors, 200, "garbage not all counted");
 }

@@ -1,8 +1,11 @@
 //! Regenerates the golden-trajectory fixtures under `tests/golden/`.
 //!
 //! Each fixture is the full `ScenarioResult` JSON of one pinned scenario:
-//! the three `golden_trio()` presets plus the `mixed-regime-stress` lab
-//! spec (a regime-switching churn trajectory that exercises the
+//! the three `golden_trio()` presets, the golden DCPP preset on an
+//! exponential delay model (`dcpp-expdelay`: the one hub fixture whose
+//! delay model has a zero minimum, so it would notice a WAN-leg floor
+//! leaking into the one-plane topology), plus the `mixed-regime-stress`
+//! lab spec (a regime-switching churn trajectory that exercises the
 //! `Scheduled` network models, the `RegimeActor`, and every churn
 //! generator — the coverage the paper trio lacks).
 //!
@@ -17,7 +20,8 @@
 //! (writes into `tests/golden/` relative to the workspace root).
 
 use presence_sim::{
-    builtin_catalog, golden_trio, run_spec_once, DecomposedScenario, Scenario, ScenarioResult,
+    builtin_catalog, golden_trio, run_spec_once, DecomposedScenario, DelayKind, Scenario,
+    ScenarioResult,
 };
 use std::path::PathBuf;
 
@@ -66,6 +70,15 @@ fn main() {
             &decomposed.collect(),
         );
     }
+    let (_, mut expdelay) = golden_trio()[1];
+    expdelay.delay = DelayKind::Exponential {
+        mean: 0.005,
+        cap: 0.05,
+    };
+    let mut scenario = Scenario::build(expdelay);
+    scenario.run();
+    write_fixture(&out_dir, "dcpp-expdelay", &scenario.collect());
+
     let spec = builtin_catalog()
         .into_iter()
         .find(|s| s.name == LAB_FIXTURE_SPEC)

@@ -17,7 +17,9 @@
 //! golden_fixtures` — but only in a PR that *intends* a trajectory (or
 //! event-count) change, and say so there.
 
-use presence::sim::{builtin_catalog, golden_trio, run_spec_once, Scenario, ScenarioResult};
+use presence::sim::{
+    builtin_catalog, golden_trio, run_spec_once, DelayKind, Scenario, ScenarioResult,
+};
 
 fn fixture(name: &str) -> ScenarioResult {
     let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
@@ -57,6 +59,22 @@ fn typed_dispatch_preserves_golden_trio_trajectories() {
         );
         assert_matches_fixture(name, &result);
     }
+}
+
+/// The golden DCPP preset on an exponential delay model. Its minimum
+/// delay is zero, unlike every other hub fixture's (ThreeMode 100 µs,
+/// Uniform 200 µs), so this is the fixture that fails if the one-plane
+/// topology ever picks up the decomposed topology's WAN-leg floor.
+#[test]
+fn zero_min_delay_hub_replays_without_a_wan_floor() {
+    let (_, mut cfg) = golden_trio()[1];
+    cfg.delay = DelayKind::Exponential {
+        mean: 0.005,
+        cap: 0.05,
+    };
+    let mut scenario = Scenario::build(cfg);
+    scenario.run();
+    assert_matches_fixture("dcpp-expdelay", &scenario.collect());
 }
 
 /// The dispatch rewrite is pinned on a regime-switching lab trajectory,

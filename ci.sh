@@ -27,16 +27,18 @@ cargo bench --no-run
 
 # Tier-1 runs with two replication workers so the parallel fan-out path
 # (PRESENCE_JOBS → thread::scope pool → seed-ordered merge) is exercised
-# by every replication-touching test, not just the dedicated ones — and
-# with two requested regions so every scenario-running test consults the
-# region planner (the hub scenarios provably collapse to one effective
-# region; the golden suites prove the consultation is trajectory-neutral).
+# by every replication-touching test, not just the dedicated ones.
 export PRESENCE_JOBS="${PRESENCE_JOBS:-2}"
-export PRESENCE_REGIONS="${PRESENCE_REGIONS:-2}"
 
-echo "==> tier-1: cargo build --release && cargo test -q (PRESENCE_JOBS=$PRESENCE_JOBS, PRESENCE_REGIONS=$PRESENCE_REGIONS)"
+echo "==> tier-1: cargo build --release && cargo test -q (PRESENCE_JOBS=$PRESENCE_JOBS)"
 cargo build --release
 cargo test -q
+
+# The benchmark harness is its own cargo workspace (ledger/), so tier-1
+# never compiles it; build it here so a library API change that breaks it
+# fails CI instead of the benchmark run.
+echo "==> benchmark build: ledger (cargo build --release --offline)"
+cargo build --release --offline --manifest-path ledger/Cargo.toml
 
 # Engine soak: the dispatch/timer machinery PR 5 rewrote gets a deeper
 # property-test pass than the tier-1 default (256 cases) — the EventQueue
@@ -54,29 +56,25 @@ echo "==> region soak: regioned engine vs sequential model proptests incl. adapt
 PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test region_model
 
 # Decomposed-topology replay: the golden trio and the mixed-regime lab
-# fixtures recorded on the sequential reference engine must replay
-# byte-for-byte on the decomposed (one-network-plane-per-region)
-# topology — the suite sweeps regions {1, 2, 4} internally and runs here
-# under PRESENCE_REGIONS=4 so the surrounding plan consultations see a
-# genuine multi-region request too.
-echo "==> decomposed replay: golden trio + lab fixtures on the multi-plane topology (PRESENCE_REGIONS=4)"
-PRESENCE_REGIONS=4 cargo test --release -q --test region_equivalence
+# fixtures recorded on the sequential engine must replay byte-for-byte on
+# the windowed engine over the decomposed (multi-plane) topology — the
+# suite sweeps regions {1, 2, 4} internally.
+echo "==> decomposed replay: golden trio + lab fixtures on the multi-plane topology"
+cargo test --release -q --test region_equivalence
 
 # Structural perf gates: the single-hop delivery path must hold
 # events-per-delivered-message at ≤ 2.05, the trio's events_processed
 # must equal the golden fixtures exactly (a dispatch or timer refactor
-# must not change what gets scheduled), the trio's regions=2 results
-# must be byte-identical to regions=1 (the region planner must never
-# perturb a trajectory), the decomposed trio's adaptive-window runs must
-# be byte-identical to static and never barrier more often, and
-# best-of-run trio throughput must stay above half the committed
-# BENCH_PR8.json snapshot — the best-of estimator holds steady even on
-# the noisy 1-core CI box. --regions also runs the multi-core scaling
+# must not change what gets scheduled), the decomposed trio's
+# adaptive-window runs must be byte-identical to static and never
+# barrier more often, and best-of-run trio throughput must stay above
+# half the committed BENCH_PR8.json snapshot — the best-of estimator
+# holds steady even on the noisy 1-core CI box. --regions also runs the multi-core scaling
 # suite (decomposed trio at regions {1,2,4,8}, workers matched) so the
 # window/barrier counters it gates on are recorded every CI run. The
 # throwaway report path keeps the committed BENCH_PR10.json a recorded
 # snapshot rather than overwriting it with this machine's timings.
-echo "==> perf gates: events/delivered-msg <= 2.05 + events_processed == golden + regions=2 equivalence + adaptive==static + throughput floor + scaling suite (perf_report --check --regions)"
+echo "==> perf gates: events/delivered-msg <= 2.05 + events_processed == golden + adaptive==static + throughput floor + scaling suite (perf_report --check --regions)"
 cargo run --release -q -p presence-bench --bin perf_report -- --check --regions target/perf_report_ci.json
 
 # Conformance stage: the DES is the oracle for the sharded UDP serving

@@ -20,8 +20,7 @@
 //! (writes into `tests/golden/` relative to the workspace root).
 
 use presence_sim::{
-    builtin_catalog, golden_trio, run_spec_once, DecomposedScenario, DelayKind, Scenario,
-    ScenarioResult,
+    builtin_catalog, golden_trio, run_spec_once, DelayKind, Scenario, ScenarioResult,
 };
 use std::path::PathBuf;
 
@@ -60,9 +59,9 @@ fn main() {
         scenario.run();
         write_fixture(&out_dir, name, &scenario.collect());
         // The same preset on the decomposed (multi-plane) topology,
-        // recorded from the sequential reference engine (regions = 1);
-        // the regioned engine must replay these bit-for-bit.
-        let mut decomposed = DecomposedScenario::build(cfg, 1);
+        // recorded on the sequential engine; the windowed engine must
+        // replay these bit-for-bit at every region count.
+        let mut decomposed = Scenario::build_multiplane(cfg);
         decomposed.run();
         write_fixture(
             &out_dir,
@@ -85,7 +84,7 @@ fn main() {
         .expect("lab fixture spec is in the builtin catalog");
     let result = run_spec_once(&spec).expect("lab fixture spec runs");
     write_fixture(&out_dir, "lab-mixed", &result);
-    let mut decomposed_lab = spec.build_decomposed(1).expect("lab fixture spec builds");
+    let mut decomposed_lab = spec.build_multiplane().expect("lab fixture spec builds");
     decomposed_lab.run();
     write_fixture(&out_dir, "decomposed-lab-mixed", &decomposed_lab.collect());
 

@@ -271,20 +271,13 @@ fn run_one_decomposed(
         }
         scenario.run();
         let result = scenario.collect();
-        let (windows, exchanges, per_window) = scenario.region_counters().unwrap_or((0, 0, 0.0));
-        match scenario.region_counters() {
-            Some(_) => println!(
-                "seed {seed}: {} events in {windows} windows ({per_window:.1} events/window), \
-                 {exchanges} barrier events, {} cross-plane relays",
-                result.events_processed,
-                scenario.relays_forwarded()
-            ),
-            None => println!(
-                "seed {seed}: {} events on the sequential engine, {} cross-plane relays",
-                result.events_processed,
-                scenario.relays_forwarded()
-            ),
-        }
+        let (windows, exchanges, per_window) = scenario.region_counters().expect("windowed engine");
+        println!(
+            "seed {seed}: {} events in {windows} windows ({per_window:.1} events/window), \
+             {exchanges} barrier events, {} cross-plane relays",
+            result.events_processed,
+            scenario.relays_forwarded()
+        );
         report.per_seed.push(DecomposedSeedReport {
             seed,
             events_processed: result.events_processed,

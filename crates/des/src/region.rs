@@ -462,6 +462,16 @@ impl<E: 'static, S: Actor<E>> RegionSim<E, S> {
         self.regions.len()
     }
 
+    /// The region actor `id` was added to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is unknown.
+    #[must_use]
+    pub fn region_of(&self, id: ActorId) -> usize {
+        self.locate[id.0].0 as usize
+    }
+
     /// Registers `member` in `region`, returning its globally numbered id.
     /// Global ids (and therefore RNG streams) are assigned in call order,
     /// independent of the region — assembling the same population in the

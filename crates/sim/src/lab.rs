@@ -27,7 +27,11 @@
 use crate::churn::ChurnModel;
 use crate::metrics::ScenarioResult;
 use crate::parallel::run_indexed;
-use crate::scenario::{DelayKind, LossKind, Protocol, Scenario, ScenarioConfig};
+use crate::recorder::RecorderMode;
+use crate::scenario::{
+    DecomposedScenario, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, ScenarioEngine,
+    ScenarioOn, DECOMPOSED_PLANES,
+};
 use presence_core::AutoTuneConfig;
 use presence_des::SimTime;
 use presence_net::{DelayModel, LossModel, Scheduled};
@@ -296,8 +300,8 @@ impl ScenarioSpec {
         slice_windows(&self.regime_starts(), self.duration)
     }
 
-    /// Builds the runnable scenario this spec describes. A single-phase
-    /// spec produces an actor graph identical to
+    /// Builds the runnable scenario this spec describes, on the one-plane
+    /// hub. A single-phase spec produces an actor graph identical to
     /// [`Scenario::build`]`(self.base_config())` — same actors, same RNG
     /// streams, bit-identical trajectory.
     ///
@@ -306,41 +310,48 @@ impl ScenarioSpec {
     /// Returns the first violated invariant (the spec is re-validated so
     /// hand-built specs cannot skip it).
     pub fn build(&self) -> Result<Scenario, SpecError> {
-        self.validate()?;
-        let switches = self.churn_switches();
-        let mut scenario = Scenario::assemble(
-            self.base_config(),
-            self.delay_model(),
-            self.loss_model(),
-            &switches,
-        );
-        if let Some(at) = self.crash_at {
-            scenario.crash_device_at(at);
-        }
-        if let Some(at) = self.bye_at {
-            scenario.device_bye_at(at);
-        }
-        Ok(scenario)
+        self.lower(1, 1)
     }
 
-    /// Builds this spec on the decomposed (multi-plane) topology across
-    /// `regions` regions — the parallel mirror of [`ScenarioSpec::build`].
-    /// Each plane instantiates its own copies of the (possibly
-    /// time-varying) delay/loss models.
+    /// Builds this spec on the [`DECOMPOSED_PLANES`]-plane topology on the
+    /// sequential engine: the reference [`ScenarioSpec::build_decomposed`]
+    /// runs must match bit-for-bit.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant, like [`ScenarioSpec::build`].
-    pub fn build_decomposed(&self, regions: usize) -> Result<crate::DecomposedScenario, SpecError> {
+    pub fn build_multiplane(&self) -> Result<Scenario, SpecError> {
+        self.lower(DECOMPOSED_PLANES, 1)
+    }
+
+    /// Builds this spec on the decomposed (multi-plane) topology across
+    /// `regions` regions of the windowed engine. Each plane instantiates
+    /// its own copies of the (possibly time-varying) delay/loss models.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant, like [`ScenarioSpec::build`].
+    pub fn build_decomposed(&self, regions: usize) -> Result<DecomposedScenario, SpecError> {
+        self.lower(DECOMPOSED_PLANES, regions)
+    }
+
+    /// The one lowering behind every build: assembles `planes` planes on
+    /// `regions` regions of engine `E`, then schedules the spec's device
+    /// crash or bye.
+    fn lower<E: ScenarioEngine>(
+        &self,
+        planes: usize,
+        regions: usize,
+    ) -> Result<ScenarioOn<E>, SpecError> {
         self.validate()?;
-        let switches = self.churn_switches();
-        let mut scenario = crate::DecomposedScenario::assemble(
+        let mut scenario = ScenarioOn::assemble_on(
             self.base_config(),
+            planes,
             regions,
-            &|| self.delay_model(),
-            &|| self.loss_model(),
-            &switches,
-            crate::RecorderMode::Full,
+            &mut || self.delay_model(),
+            &mut || self.loss_model(),
+            &self.churn_switches(),
+            RecorderMode::Full,
         );
         if let Some(at) = self.crash_at {
             scenario.crash_device_at(at);

@@ -69,12 +69,10 @@ pub use output::{ascii_chart, kv_table, series_to_columns, series_to_csv};
 pub use parallel::{for_each_indexed, job_count, run_indexed, ParamSweep};
 pub use recorder::RecorderMode;
 pub use regime::RegimeActor;
-pub use region::{
-    parse_regions, plan_partitioned, region_count, PartitionError, RegionPartition, RegionPlan,
-};
+pub use region::{plan_partitioned, PartitionError, RegionPartition, RegionPlan};
 pub use replication::{replicate, replicate_with_jobs, ReplicationPoint, ReplicationSummary};
 pub use scenario::{
     golden_trio, DecomposedScenario, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig,
-    DECOMPOSED_PLANES, WAN_LEG_FLOOR,
+    ScenarioEngine, ScenarioOn, DECOMPOSED_PLANES, WAN_LEG_FLOOR,
 };
 pub use trace::flow_id;

@@ -1,5 +1,6 @@
-//! The network actor: one [`Fabric`] serving all nodes (the paper models
-//! the network as a single process with one bounded buffer).
+//! The network actor: one [`Fabric`] serving the nodes of one network
+//! plane. The paper's hub is a single plane serving all nodes (the paper
+//! models the network as a single process with one bounded buffer).
 //!
 //! # Single-hop delivery
 //!
@@ -26,14 +27,17 @@
 //! `unroutable` in [`FabricStats`] — they never reach the fabric, so a
 //! wiring bug cannot masquerade as network loss.
 //!
-//! # Decomposed topology: one plane per region
+//! # Decomposed topology: several planes
 //!
-//! The paper's single hub couples every participant at zero delay, which
-//! provably collapses any region partition (see [`crate::region`]). A
-//! *decomposed* network replaces the hub with several network **planes**
+//! The paper's single hub couples every participant at zero delay, so no
+//! region cut of it has a positive lookahead (see [`crate::region`]); a
+//! hub runs on the sequential engine and never calls
+//! [`set_plane`](NetworkActor::set_plane). A *decomposed* network
+//! replaces the hub with [`crate::DECOMPOSED_PLANES`] network **planes**
+//! (grouped into regions by [`crate::DecomposedScenario`])
 //! — each a full `NetworkActor` owning the routes of the participants
 //! co-located with it — joined by inter-plane legs of exactly the
-//! fabric's [`min_delay`](NetworkActor::min_delay). A `Send` whose
+//! fabric's [`min_delay`](Fabric::min_delay). A `Send` whose
 //! destination lives on another plane is forwarded as
 //! [`SimEvent::Relay`] after one leg; the owning plane then admits it
 //! with the leg *discounted* from its sampled delay
@@ -168,15 +172,6 @@ impl NetworkActor {
             Addr::Device(id) => (&self.device_routes, id.0 as usize),
         };
         table.get(idx).copied().flatten()
-    }
-
-    /// The fabric's lookahead bound: no delivery this hub schedules can
-    /// land sooner than this after its send (see
-    /// `presence_net::DelayModel::min_delay`). Region planning uses it to
-    /// decide whether a route through this hub can cross a region cut.
-    #[must_use]
-    pub fn min_delay(&self) -> SimDuration {
-        self.fabric.min_delay()
     }
 
     /// Fabric counters (offered/admitted/dropped/delivered/unroutable) as

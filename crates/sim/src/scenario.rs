@@ -2,8 +2,15 @@
 //!
 //! A [`ScenarioConfig`] is a complete, serialisable description of one
 //! simulation run: protocol, population, network, churn, and seed.
-//! [`Scenario::build`] wires the actors together; [`Scenario::run_for`]
-//! executes and [`Scenario::collect`] extracts a [`ScenarioResult`].
+//! [`Scenario::build`] wires the actors together; [`ScenarioOn::run`]
+//! executes and [`ScenarioOn::collect`] extracts a [`ScenarioResult`].
+//!
+//! One assembly builds every topology, with the plane count as its only
+//! topology parameter. The paper's hub is the one-plane case; the
+//! decomposed topology is the [`DECOMPOSED_PLANES`] case. The same
+//! [`ScenarioOn`] runs on either engine behind the [`ScenarioEngine`]
+//! trait: [`Scenario`] on the sequential [`PresenceSim`],
+//! [`DecomposedScenario`] on the windowed [`RegionSim`].
 
 use crate::actor_set::{PresenceActorSet, PresenceSim};
 use crate::churn::{ChurnActor, ChurnModel};
@@ -20,10 +27,11 @@ use presence_core::{
     SappConfig, SappDevice, SappDeviceConfig,
 };
 use presence_des::{
-    ActorId, ProjectActor, RegionSim, SimDuration, SimTime, Simulation, WindowPolicy,
+    ActorId, BarrierMark, EngineEvent, ProjectActor, RegionSim, SimDuration, SimTime, Simulation,
+    WindowPolicy,
 };
 use presence_net::{
-    BernoulliLoss, ConstantDelay, DelayModel, ExponentialDelay, Fabric, FlooredDelay,
+    BernoulliLoss, ConstantDelay, DelayModel, ExponentialDelay, Fabric, FabricStats, FlooredDelay,
     GilbertElliott, LossModel, NoLoss, ThreeMode, UniformDelay,
 };
 use presence_stats::jain_index;
@@ -222,475 +230,6 @@ pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
     [("sapp", sapp), ("dcpp", dcpp), ("churn", churn)]
 }
 
-/// A built, runnable scenario.
-///
-/// Runs on the typed actor set ([`crate::PresenceSim`]): every node is an
-/// inline [`crate::PresenceActorSet`] member and the engine dispatches
-/// events through a direct variant match — the hot path carries no boxed
-/// trait objects.
-pub struct Scenario {
-    sim: PresenceSim,
-    cfg: ScenarioConfig,
-    mode: RecorderMode,
-    device: ActorId,
-    network: ActorId,
-    churn: ActorId,
-    cps: Vec<ActorId>,
-    /// Trace horizon (ns) when [`Scenario::enable_trace`] armed tracing.
-    trace_until_ns: Option<u64>,
-}
-
-impl Scenario {
-    /// Wires up all actors for `cfg`.
-    #[must_use]
-    pub fn build(cfg: ScenarioConfig) -> Self {
-        Self::assemble(cfg, cfg.delay.build(), cfg.loss.build(), &[])
-    }
-
-    /// [`Scenario::build`] with an explicit recorder granularity. Under
-    /// [`RecorderMode::Streaming`] the actors keep constant-size
-    /// accumulators instead of per-sample series: the simulated trajectory
-    /// (and every scalar metric) is unchanged, but the series fields of
-    /// the collected [`ScenarioResult`] come back empty and memory stays
-    /// flat at any horizon.
-    #[must_use]
-    pub fn build_with_recorder(cfg: ScenarioConfig, mode: RecorderMode) -> Self {
-        Self::assemble_with_recorder(cfg, cfg.delay.build(), cfg.loss.build(), &[], mode)
-    }
-
-    /// [`Scenario::build`] with explicit (possibly time-varying) network
-    /// models and mid-run churn regime switches — the scenario-lab entry
-    /// point. `cfg.delay`/`cfg.loss` are ignored in favour of the passed
-    /// models; `churn_switches` (absolute seconds, ascending) are driven
-    /// by a [`crate::RegimeActor`] spawned only when the list is
-    /// non-empty, so a switch-free scenario is actor-for-actor identical
-    /// to [`Scenario::build`].
-    #[must_use]
-    pub fn assemble(
-        cfg: ScenarioConfig,
-        delay: Box<dyn DelayModel>,
-        loss: Box<dyn LossModel>,
-        churn_switches: &[(f64, ChurnModel)],
-    ) -> Self {
-        Self::assemble_with_recorder(cfg, delay, loss, churn_switches, RecorderMode::Full)
-    }
-
-    /// [`Scenario::assemble`] with an explicit recorder granularity (see
-    /// [`Scenario::build_with_recorder`]).
-    #[must_use]
-    pub fn assemble_with_recorder(
-        cfg: ScenarioConfig,
-        delay: Box<dyn DelayModel>,
-        loss: Box<dyn LossModel>,
-        churn_switches: &[(f64, ChurnModel)],
-        mode: RecorderMode,
-    ) -> Self {
-        cfg.validate();
-
-        let mut sim: PresenceSim = Simulation::with_actor_set(cfg.seed);
-
-        let fabric = Fabric::new(cfg.buffer_capacity, delay, loss);
-        let network = sim.add_member(NetworkActor::new(fabric).into());
-
-        let device_id = DeviceId(0);
-        let machine = match cfg.protocol {
-            Protocol::Sapp { device, .. } => {
-                DeviceMachine::Sapp(SappDevice::new(device_id, device))
-            }
-            Protocol::Dcpp { cfg: c } => DeviceMachine::Dcpp(DcppDevice::new(device_id, c)),
-            // The fixed-rate baseline probes a DCPP device (any responder
-            // works; the baseline ignores reply payloads).
-            Protocol::FixedRate { .. } => {
-                DeviceMachine::Dcpp(DcppDevice::new(device_id, DcppConfig::paper_default()))
-            }
-        };
-        let processing = ProcessingModel {
-            min: SimDuration::from_secs_f64(cfg.processing.0),
-            max: SimDuration::from_secs_f64(cfg.processing.1),
-        };
-        let mut device_actor =
-            DeviceActor::new(machine, network, processing, cfg.load_window, cfg.duration);
-        if let (
-            Some(tune),
-            Protocol::Sapp {
-                device: dev_cfg, ..
-            },
-        ) = (cfg.sapp_auto_tune, cfg.protocol)
-        {
-            device_actor.set_tuner(AutoTuner::new(tune, dev_cfg.l_nom));
-        }
-        device_actor.set_recorder_mode(mode);
-        let device = sim.add_member(device_actor.into());
-
-        let factory = match cfg.protocol {
-            Protocol::Sapp { cp, .. } => ProberFactory::Sapp(cp),
-            Protocol::Dcpp { cfg: c } => ProberFactory::Dcpp(c),
-            Protocol::FixedRate { cycle, period } => {
-                ProberFactory::FixedRate(cycle, SimDuration::from_secs_f64(period))
-            }
-        };
-
-        // One frequency sample lands per completed cycle; the protocols
-        // hold the device near L_nom = 10 cycles/s shared across the pool,
-        // so this hint is the fair-share expectation with 2× headroom for
-        // the unfair (SAPP) trajectories.
-        let samples_hint =
-            ((cfg.duration * 20.0 / f64::from(cfg.cp_pool)).min(4e6) as usize).max(16);
-        let mut cps = Vec::with_capacity(cfg.cp_pool as usize);
-        for i in 0..cfg.cp_pool {
-            let id = CpId(i);
-            let mut cp_actor = CpActor::new(
-                id,
-                factory.clone(),
-                network,
-                device_id,
-                cfg.disseminate,
-                samples_hint,
-            );
-            cp_actor.set_recorder_mode(mode);
-            let actor = sim.add_member(cp_actor.into());
-            cps.push(actor);
-        }
-
-        // Register routes.
-        {
-            let net = sim
-                .actor_mut::<NetworkActor>(network)
-                .expect("network actor");
-            net.register(Addr::Device(device_id), device);
-            for (i, &actor) in cps.iter().enumerate() {
-                net.register(Addr::Cp(CpId(i as u32)), actor);
-            }
-        }
-
-        let churn = sim.add_member(
-            ChurnActor::new(
-                cfg.churn,
-                cps.clone(),
-                cfg.initially_active,
-                SimDuration::from_secs_f64(cfg.join_stagger),
-                cfg.duration,
-            )
-            .into(),
-        );
-
-        if !churn_switches.is_empty() {
-            sim.add_member(crate::RegimeActor::new(churn, churn_switches.to_vec()).into());
-        }
-
-        Self {
-            sim,
-            cfg,
-            mode,
-            device,
-            network,
-            churn,
-            cps,
-            trace_until_ns: None,
-        }
-    }
-
-    /// Arms presence tracing on every actor (and, when `engine` is set,
-    /// the structured engine event stream). `until` caps the horizon in
-    /// virtual seconds (`None` = the whole run). Call before [`Scenario::run`];
-    /// drain with [`Scenario::collect_trace`]. The simulated trajectory is
-    /// unchanged — tracing only buffers observations.
-    pub fn enable_trace(&mut self, until: Option<f64>, engine: bool) {
-        let until_ns = until.map_or(u64::MAX, |s| SimTime::from_secs_f64(s).as_nanos());
-        self.trace_until_ns = Some(until_ns);
-        if engine {
-            self.sim.enable_engine_trace();
-        }
-        let network = self.network;
-        self.sim
-            .actor_mut::<NetworkActor>(network)
-            .expect("network actor")
-            .set_trace(until_ns);
-        let device = self.device;
-        self.sim
-            .actor_mut::<DeviceActor>(device)
-            .expect("device actor")
-            .set_trace(until_ns);
-        for &cp in &self.cps.clone() {
-            self.sim
-                .actor_mut::<CpActor>(cp)
-                .expect("cp actor")
-                .set_trace(until_ns);
-        }
-        let churn = self.churn;
-        self.sim
-            .actor_mut::<ChurnActor>(churn)
-            .expect("churn actor")
-            .set_trace(until_ns);
-    }
-
-    /// Drains the trace buffers into a [`presence_trace::TraceModel`]
-    /// (counter tracks are synthesised from `result`'s series, so pass the
-    /// [`Scenario::collect`] output of the same run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Scenario::enable_trace`] was not called.
-    #[must_use]
-    pub fn collect_trace(&mut self, result: &ScenarioResult) -> presence_trace::TraceModel {
-        let until_ns = self
-            .trace_until_ns
-            .expect("enable_trace before collect_trace");
-        let network = self.network;
-        let device = self.device;
-        let churn = self.churn;
-        let nets = vec![(
-            network.index(),
-            self.sim
-                .actor_mut::<NetworkActor>(network)
-                .expect("network actor")
-                .take_trace(),
-        )];
-        let device_buf = self
-            .sim
-            .actor_mut::<DeviceActor>(device)
-            .expect("device actor")
-            .take_trace();
-        let mut cps = Vec::with_capacity(self.cps.len());
-        for &cp in &self.cps.clone() {
-            cps.push((
-                cp.index(),
-                self.sim
-                    .actor_mut::<CpActor>(cp)
-                    .expect("cp actor")
-                    .take_trace(),
-            ));
-        }
-        let churn_buf = self
-            .sim
-            .actor_mut::<ChurnActor>(churn)
-            .expect("churn actor")
-            .take_trace();
-        TraceCapture {
-            until_ns,
-            nets,
-            device: (device.index(), device_buf),
-            cps,
-            churn: (churn.index(), churn_buf),
-            engine: self.sim.take_engine_trace(),
-            barriers: Vec::new(),
-        }
-        .into_model(result)
-    }
-
-    /// The configuration this scenario was built from.
-    #[must_use]
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.cfg
-    }
-
-    /// The underlying simulation (for custom interventions: crashes,
-    /// Δ-retuning, extra probes).
-    pub fn sim_mut(&mut self) -> &mut PresenceSim {
-        &mut self.sim
-    }
-
-    /// Actor id of the device.
-    #[must_use]
-    pub fn device_actor(&self) -> ActorId {
-        self.device
-    }
-
-    /// Actor ids of the CP pool.
-    #[must_use]
-    pub fn cp_actors(&self) -> &[ActorId] {
-        &self.cps
-    }
-
-    /// Actor id of the churn driver.
-    #[must_use]
-    pub fn churn_actor(&self) -> ActorId {
-        self.churn
-    }
-
-    /// Schedules a device crash (silent leave) at `at` seconds.
-    pub fn crash_device_at(&mut self, at: f64) {
-        let device = self.device;
-        self.sim
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::Crash);
-    }
-
-    /// Schedules a graceful device leave (Bye broadcast) at `at` seconds.
-    pub fn device_bye_at(&mut self, at: f64) {
-        let device = self.device;
-        self.sim
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::GracefulLeave);
-    }
-
-    /// Schedules a SAPP device Δ-doubling at `at` seconds (A2 ablation).
-    pub fn double_delta_at(&mut self, at: f64) {
-        let device = self.device;
-        self.sim
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::DoubleDelta);
-    }
-
-    /// Plans the region split a `PRESENCE_REGIONS` request would produce
-    /// for this scenario, by running the partition validator over the
-    /// actual actor topology.
-    ///
-    /// The trio scenarios are hub-coupled: every CP and the device reach
-    /// each other through the single [`NetworkActor`], and the
-    /// participant→hub leg is a same-instant `send_now` (zero lookahead).
-    /// Any cut separating a participant from the hub therefore fails
-    /// validation and the plan collapses to one effective region — which
-    /// is also why the golden fixtures replay byte-for-byte at any
-    /// `PRESENCE_REGIONS` setting. Single-run parallelism needs hub-free
-    /// topologies (independent shards, or one hub per region); see
-    /// [`crate::run_mega_sharded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `PRESENCE_REGIONS` is set to a non-positive or
-    /// non-numeric value (same contract as `PRESENCE_JOBS`).
-    #[must_use]
-    pub fn region_plan(&self) -> crate::RegionPlan {
-        self.region_plan_for(crate::region_count())
-    }
-
-    /// [`Scenario::region_plan`] for an explicit request (the `--regions`
-    /// flag path; also lets tests exercise the planner without touching
-    /// the process environment).
-    #[must_use]
-    pub fn region_plan_for(&self, requested: usize) -> crate::RegionPlan {
-        let hub = self.network.index();
-        let fabric_min = self
-            .sim
-            .actor::<NetworkActor>(self.network)
-            .expect("network actor")
-            .min_delay();
-        let mut routes: Vec<(usize, usize, SimDuration)> = Vec::new();
-        // Participant → hub: probes and replies are same-instant offers.
-        routes.push((self.device.index(), hub, SimDuration::ZERO));
-        // Hub → participant: deliveries carry at least the fabric's
-        // minimum delay.
-        routes.push((hub, self.device.index(), fabric_min));
-        for &cp in &self.cps {
-            routes.push((cp.index(), hub, SimDuration::ZERO));
-            routes.push((hub, cp.index(), fabric_min));
-        }
-        // Churn flips CP membership instantly.
-        for &cp in &self.cps {
-            routes.push((self.churn.index(), cp.index(), SimDuration::ZERO));
-        }
-        crate::region::plan(requested, self.sim.actor_count(), &routes)
-    }
-
-    /// Runs the scenario for its configured duration.
-    ///
-    /// Consults [`Scenario::region_plan`] first, so a malformed
-    /// `PRESENCE_REGIONS` fails loudly and the collapse decision is made
-    /// by the validator, never assumed: hub scenarios always plan one
-    /// effective region, i.e. exactly the sequential engine.
-    pub fn run(&mut self) {
-        let plan = self.region_plan();
-        assert_eq!(
-            plan.effective, 1,
-            "hub scenarios must collapse to one region (got: {})",
-            plan.reason
-        );
-        let end = SimTime::from_secs_f64(self.cfg.duration);
-        self.sim.run_until(end);
-    }
-
-    /// Runs until the given virtual time (may be called repeatedly for
-    /// checkpointed collection).
-    pub fn run_until(&mut self, at: f64) {
-        self.sim.run_until(SimTime::from_secs_f64(at));
-    }
-
-    /// Extracts the results accumulated so far.
-    #[must_use]
-    pub fn collect(&mut self) -> ScenarioResult {
-        let now = self.sim.now();
-
-        let (load_series, load_mean, load_variance) = {
-            let dev = self
-                .sim
-                .actor_mut::<DeviceActor>(self.device)
-                .expect("device actor");
-            match self.mode {
-                RecorderMode::Full => {
-                    let series = dev.load_series_until(now);
-                    // Load over the steady part (skip the first window).
-                    let mut acc = presence_stats::Welford::new();
-                    for &(_, rate) in series.iter().skip(1) {
-                        acc.push(rate);
-                    }
-                    (series, acc.mean(), acc.sample_variance())
-                }
-                RecorderMode::Streaming => {
-                    let (mean, variance) = dev.streaming_load_stats(now);
-                    (Vec::new(), mean, variance)
-                }
-            }
-        };
-
-        let device_probes = self
-            .sim
-            .actor::<DeviceActor>(self.device)
-            .expect("device actor")
-            .probes_received();
-
-        let (fabric_stats, mean_buffer_occupancy) = {
-            // Mutable: the fabric settles delivery deadlines ≤ now before
-            // reporting (lazy delivery accounting).
-            let net = self
-                .sim
-                .actor_mut::<NetworkActor>(self.network)
-                .expect("network actor");
-            (net.fabric_stats(now), net.mean_occupancy(now))
-        };
-
-        let population_series: Vec<(f64, f64)> = self
-            .sim
-            .actor::<ChurnActor>(self.churn)
-            .expect("churn actor")
-            .population_series()
-            .samples()
-            .iter()
-            .map(|s| (s.t, s.value))
-            .collect();
-
-        let mut cps = Vec::with_capacity(self.cps.len());
-        for &actor in &self.cps {
-            let cp = self.sim.actor::<CpActor>(actor).expect("cp actor");
-            let rec = cp.record_snapshot();
-            cps.push(CpSummary::from_record(&rec, now.as_secs_f64()));
-        }
-
-        // Fairness over CPs that ever probed.
-        let freqs: Vec<f64> = cps
-            .iter()
-            .filter(|c| c.cycles_succeeded > 0)
-            .map(|c| c.mean_frequency)
-            .collect();
-        let fairness = jain_index(&freqs);
-
-        ScenarioResult {
-            duration: now.as_secs_f64(),
-            events_processed: self.sim.events_processed(),
-            device_probes,
-            load_series,
-            load_mean,
-            load_variance,
-            mean_buffer_occupancy,
-            messages_offered: fabric_stats.offered,
-            messages_delivered: fabric_stats.delivered,
-            messages_dropped_overflow: fabric_stats.dropped_overflow,
-            messages_dropped_loss: fabric_stats.dropped_loss,
-            messages_unroutable: fabric_stats.unroutable,
-            population_series,
-            cps,
-            fairness_jain: fairness,
-        }
-    }
-}
-
 /// Number of network planes a decomposed topology always builds. Fixed
 /// (rather than one per region) so the actor-id layout — and with it
 /// every RNG stream — is identical at every region count: regions only
@@ -703,216 +242,256 @@ pub const DECOMPOSED_PLANES: usize = 8;
 /// or the region cut has no lookahead. Models with a positive minimum
 /// (the paper's three-mode network: 100 µs fast mode) are left
 /// untouched, so their delivery distributions are exactly the hub's.
+/// The one-plane hub has no inter-plane leg and never takes the floor.
 pub const WAN_LEG_FLOOR: SimDuration = SimDuration::from_micros(100);
 
-/// The execution engine behind a [`DecomposedScenario`]: the plain
-/// sequential simulation when one region is effective, the conservative
-/// windowed engine otherwise. Both run the *same* actor graph with the
-/// same RNG streams, so the trajectory is engine-invariant.
-enum Engine {
-    Seq(Box<PresenceSim>),
-    Regioned(Box<RegionSim<SimEvent, PresenceActorSet>>),
+/// The engine a [`ScenarioOn`] runs on: the sequential [`Simulation`]
+/// ([`PresenceSim`]) or the conservative windowed [`RegionSim`]. Both run
+/// the same actor graph with the same per-actor RNG streams, so the
+/// trajectory does not depend on the engine.
+pub trait ScenarioEngine: Sized {
+    /// A fresh engine seeded with `seed`, split into `regions` regions
+    /// with cross-region `lookahead`. The sequential engine is one region
+    /// and ignores both.
+    fn create(seed: u64, regions: usize, lookahead: SimDuration) -> Self;
+    /// The region count (1 on the sequential engine).
+    fn regions(&self) -> usize;
+    /// The region actor `id` lives in (0 on the sequential engine).
+    fn region_of(&self, id: ActorId) -> usize;
+    /// Adds `member` to `region`; ids are assigned in call order.
+    fn add(&mut self, region: usize, member: PresenceActorSet) -> ActorId;
+    /// Current virtual time.
+    fn now(&self) -> SimTime;
+    /// Events processed so far.
+    fn events_processed(&self) -> u64;
+    /// Actor `id`, projected to its concrete type.
+    fn actor<A>(&self, id: ActorId) -> Option<&A>
+    where
+        PresenceActorSet: ProjectActor<A>;
+    /// Actor `id`, projected to its concrete type, mutably.
+    fn actor_mut<A>(&mut self, id: ActorId) -> Option<&mut A>
+    where
+        PresenceActorSet: ProjectActor<A>;
+    /// Schedules an external stimulus for `target` at `at`.
+    fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: SimEvent);
+    /// Runs until virtual time `end`.
+    fn run_until(&mut self, end: SimTime);
+    /// Arms the structured engine event stream.
+    fn enable_engine_trace(&mut self);
+    /// Drains the structured engine event stream and the window-barrier
+    /// marks (none on the sequential engine).
+    fn take_engine_trace(&mut self) -> (Vec<EngineEvent>, Vec<BarrierMark>);
 }
 
-impl Engine {
-    fn add(&mut self, region: usize, member: PresenceActorSet) -> ActorId {
-        match self {
-            Engine::Seq(sim) => sim.add_member(member),
-            Engine::Regioned(sim) => sim.add_member(region, member),
-        }
+impl ScenarioEngine for PresenceSim {
+    fn create(seed: u64, _regions: usize, _lookahead: SimDuration) -> Self {
+        Simulation::with_actor_set(seed)
     }
-
+    fn regions(&self) -> usize {
+        1
+    }
+    fn region_of(&self, _id: ActorId) -> usize {
+        0
+    }
+    fn add(&mut self, _region: usize, member: PresenceActorSet) -> ActorId {
+        self.add_member(member)
+    }
     fn now(&self) -> SimTime {
-        match self {
-            Engine::Seq(sim) => sim.now(),
-            Engine::Regioned(sim) => sim.now(),
-        }
+        Simulation::now(self)
     }
-
     fn events_processed(&self) -> u64 {
-        match self {
-            Engine::Seq(sim) => sim.events_processed(),
-            Engine::Regioned(sim) => sim.events_processed(),
-        }
+        Simulation::events_processed(self)
     }
-
     fn actor<A>(&self, id: ActorId) -> Option<&A>
     where
         PresenceActorSet: ProjectActor<A>,
     {
-        match self {
-            Engine::Seq(sim) => sim.actor(id),
-            Engine::Regioned(sim) => sim.actor(id),
-        }
+        Simulation::actor(self, id)
     }
-
     fn actor_mut<A>(&mut self, id: ActorId) -> Option<&mut A>
     where
         PresenceActorSet: ProjectActor<A>,
     {
-        match self {
-            Engine::Seq(sim) => sim.actor_mut(id),
-            Engine::Regioned(sim) => sim.actor_mut(id),
-        }
+        Simulation::actor_mut(self, id)
     }
-
     fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: SimEvent) {
-        match self {
-            Engine::Seq(sim) => {
-                sim.schedule_at(at, target, payload);
-            }
-            Engine::Regioned(sim) => sim.schedule_at(at, target, payload),
-        }
+        Simulation::schedule_at(self, at, target, payload);
     }
-
     fn run_until(&mut self, end: SimTime) {
-        match self {
-            Engine::Seq(sim) => {
-                sim.run_until(end);
-            }
-            Engine::Regioned(sim) => {
-                sim.run_until(end);
-            }
-        }
+        Simulation::run_until(self, end);
     }
-
     fn enable_engine_trace(&mut self) {
-        match self {
-            Engine::Seq(sim) => sim.enable_engine_trace(),
-            Engine::Regioned(sim) => sim.enable_engine_trace(),
-        }
+        Simulation::enable_engine_trace(self);
     }
-
-    fn take_engine_trace(&mut self) -> Vec<presence_des::EngineEvent> {
-        match self {
-            Engine::Seq(sim) => sim.take_engine_trace(),
-            Engine::Regioned(sim) => sim.take_engine_trace(),
-        }
-    }
-
-    fn take_barrier_marks(&mut self) -> Vec<presence_des::BarrierMark> {
-        match self {
-            Engine::Seq(_) => Vec::new(),
-            Engine::Regioned(sim) => sim.take_barrier_marks(),
-        }
+    fn take_engine_trace(&mut self) -> (Vec<EngineEvent>, Vec<BarrierMark>) {
+        (Simulation::take_engine_trace(self), Vec::new())
     }
 }
 
-/// A scenario on the decomposed (multi-plane) network topology: one
-/// [`NetworkActor`] plane per [`DECOMPOSED_PLANES`] slice of the CP pool,
-/// joined by inter-plane legs of one fabric `min_delay` — the topology
-/// whose region cuts carry positive lookahead, so the paper trio
-/// genuinely parallelises instead of collapsing (see
-/// [`Scenario::region_plan`] for why the hub cannot).
+impl ScenarioEngine for RegionSim<SimEvent, PresenceActorSet> {
+    fn create(seed: u64, regions: usize, lookahead: SimDuration) -> Self {
+        RegionSim::new(seed, regions, lookahead)
+    }
+    fn regions(&self) -> usize {
+        self.region_count()
+    }
+    fn region_of(&self, id: ActorId) -> usize {
+        RegionSim::region_of(self, id)
+    }
+    fn add(&mut self, region: usize, member: PresenceActorSet) -> ActorId {
+        self.add_member(region, member)
+    }
+    fn now(&self) -> SimTime {
+        RegionSim::now(self)
+    }
+    fn events_processed(&self) -> u64 {
+        RegionSim::events_processed(self)
+    }
+    fn actor<A>(&self, id: ActorId) -> Option<&A>
+    where
+        PresenceActorSet: ProjectActor<A>,
+    {
+        RegionSim::actor(self, id)
+    }
+    fn actor_mut<A>(&mut self, id: ActorId) -> Option<&mut A>
+    where
+        PresenceActorSet: ProjectActor<A>,
+    {
+        RegionSim::actor_mut(self, id)
+    }
+    fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: SimEvent) {
+        RegionSim::schedule_at(self, at, target, payload);
+    }
+    fn run_until(&mut self, end: SimTime) {
+        RegionSim::run_until(self, end);
+    }
+    fn enable_engine_trace(&mut self) {
+        RegionSim::enable_engine_trace(self);
+    }
+    fn take_engine_trace(&mut self) -> (Vec<EngineEvent>, Vec<BarrierMark>) {
+        (
+            RegionSim::take_engine_trace(self),
+            RegionSim::take_barrier_marks(self),
+        )
+    }
+}
+
+/// A built, runnable scenario: one device, a CP pool, a churn driver and
+/// the network planes between them, on engine `E`. Use it through its two
+/// aliases, [`Scenario`] and [`DecomposedScenario`].
 ///
-/// Construction always builds all [`DECOMPOSED_PLANES`] planes in the
-/// same order regardless of the requested region count; `regions` only
-/// choose the engine (sequential for one effective region, the windowed
-/// [`RegionSim`] otherwise) and the plane → region grouping. Trajectories
-/// are therefore bit-identical across region counts, worker counts, and
-/// window policies — pinned by `region_integration` and the decomposed
-/// golden fixtures.
-pub struct DecomposedScenario {
-    engine: Engine,
+/// One assembly builds every topology; the plane count is its only
+/// topology parameter:
+///
+/// * **One plane — the hub.** The paper's network: a single
+///   [`NetworkActor`] routes every message, and every participant reaches
+///   it by a same-instant send. [`Scenario::build`] and
+///   [`Scenario::assemble`] build it.
+/// * **[`DECOMPOSED_PLANES`] planes.** Each plane owns the routes of its
+///   slice of the CP pool (CP `i` on plane `i % DECOMPOSED_PLANES`, the
+///   device on plane 0). A message for an address owned elsewhere is
+///   relayed over an inter-plane leg of one fabric `min_delay` (or
+///   [`WAN_LEG_FLOOR`] when that minimum is zero), and the churn driver
+///   notifies its CPs one leg late. Those legs are the lookahead that
+///   lets the windowed engine cut the planes into regions.
+///   [`DecomposedScenario`] runs it on [`RegionSim`];
+///   [`Scenario::build_multiplane`] runs it on the sequential engine as
+///   their reference.
+///
+/// Every plane is built in the same order at every region count, so
+/// actor ids and RNG streams never move: regions only group planes, and
+/// trajectories are bit-identical across engines, region counts, worker
+/// counts and window policies.
+pub struct ScenarioOn<E> {
+    engine: E,
     cfg: ScenarioConfig,
     mode: RecorderMode,
     device: ActorId,
     planes: Vec<ActorId>,
     churn: ActorId,
     cps: Vec<ActorId>,
-    plan: RegionPlan,
+    /// The inter-plane leg; zero on the one-plane hub.
     leg: SimDuration,
-    /// Trace horizon (ns) when [`DecomposedScenario::enable_trace`] armed
-    /// tracing.
+    /// Trace horizon (ns) when [`ScenarioOn::enable_trace`] armed tracing.
     trace_until_ns: Option<u64>,
 }
 
-impl DecomposedScenario {
-    /// Wires up the decomposed topology for `cfg` across `requested`
-    /// regions (capped at [`DECOMPOSED_PLANES`]).
-    #[must_use]
-    pub fn build(cfg: ScenarioConfig, requested: usize) -> Self {
-        Self::assemble(
-            cfg,
-            requested,
-            &|| cfg.delay.build(),
-            &|| cfg.loss.build(),
-            &[],
-            RecorderMode::Full,
-        )
-    }
+/// A scenario on the sequential engine ([`PresenceSim`]): the one-plane
+/// hub by default, or the [`DECOMPOSED_PLANES`]-plane topology through
+/// [`Scenario::build_multiplane`].
+///
+/// Runs on the typed actor set: every node is an inline
+/// [`PresenceActorSet`] member and the engine dispatches events through a
+/// direct variant match — the hot path carries no boxed trait objects.
+pub type Scenario = ScenarioOn<PresenceSim>;
 
-    /// [`DecomposedScenario::build`] with explicit per-plane model
-    /// factories (each plane owns its own fabric, so time-varying lab
-    /// models are instantiated once per plane), mid-run churn switches,
-    /// and a recorder granularity — the decomposed mirror of
-    /// [`Scenario::assemble_with_recorder`].
+/// The [`DECOMPOSED_PLANES`]-plane topology on the windowed [`RegionSim`],
+/// at every region count (1 included). Trajectories match
+/// [`Scenario::build_multiplane`] bit-for-bit — pinned by
+/// `region_integration` and the `decomposed-*` golden fixtures.
+pub type DecomposedScenario = ScenarioOn<RegionSim<SimEvent, PresenceActorSet>>;
+
+impl<E: ScenarioEngine> ScenarioOn<E> {
+    /// Wires up `planes_n` network planes for `cfg` on a fresh engine of
+    /// `regions` regions (capped at `planes_n`), plane `p` in region
+    /// `p * regions / planes_n`. Each plane instantiates its own delay
+    /// and loss models from the factories. A non-empty `churn_switches`
+    /// list (absolute seconds, ascending) spawns a [`crate::RegimeActor`].
+    ///
+    /// The one-plane hub takes none of the multi-plane machinery: no
+    /// plane map, no WAN floor, and a zero churn notify delay.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid ([`ScenarioConfig::validate`]).
-    #[must_use]
-    pub fn assemble(
+    /// Panics if `cfg` is invalid ([`ScenarioConfig::validate`]), or if a
+    /// multi-region engine is asked for a partition the validator
+    /// refuses.
+    pub(crate) fn assemble_on(
         cfg: ScenarioConfig,
-        requested: usize,
-        delay_factory: &dyn Fn() -> Box<dyn DelayModel>,
-        loss_factory: &dyn Fn() -> Box<dyn LossModel>,
+        planes_n: usize,
+        regions: usize,
+        delay_factory: &mut dyn FnMut() -> Box<dyn DelayModel>,
+        loss_factory: &mut dyn FnMut() -> Box<dyn LossModel>,
         churn_switches: &[(f64, ChurnModel)],
         mode: RecorderMode,
     ) -> Self {
         cfg.validate();
-        let planes_n = DECOMPOSED_PLANES;
-        let effective = requested.clamp(1, planes_n);
+        let regions = regions.clamp(1, planes_n);
 
         // The inter-plane leg: the delay model's own minimum when
         // positive (distributions unchanged — `max(sample, leg)` is the
         // identity), the WAN floor otherwise (the floor then truncates
         // only the sub-100 µs tail of the plane-local distribution).
-        let raw_min = delay_factory().min_delay();
-        let needs_floor = raw_min == SimDuration::ZERO;
-        let leg = if needs_floor { WAN_LEG_FLOOR } else { raw_min };
-
-        let mut engine = if effective == 1 {
-            Engine::Seq(Box::new(Simulation::with_actor_set(cfg.seed)))
+        let (leg, floored) = if planes_n == 1 {
+            (SimDuration::ZERO, false)
         } else {
-            Engine::Regioned(Box::new(RegionSim::new(cfg.seed, effective, leg)))
+            match delay_factory().min_delay() {
+                SimDuration::ZERO => (WAN_LEG_FLOOR, true),
+                min => (min, false),
+            }
         };
-
-        // Region of each plane: contiguous blocks, `planes_n / effective`
-        // planes per region.
-        let region_of_plane = |p: usize| p * effective / planes_n;
-        // Track every actor's region in add order — the partition the
-        // plan validates is exactly the one the engine runs.
-        let mut region_of: Vec<u32> = Vec::new();
-        let add = |engine: &mut Engine, region_of: &mut Vec<u32>, region: usize, member| {
-            region_of.push(u32::try_from(region).expect("region fits u32"));
-            engine.add(region, member)
-        };
+        let mut engine = E::create(cfg.seed, regions, leg);
+        let region_of_plane = |p: usize| p * regions / planes_n;
 
         let mut planes = Vec::with_capacity(planes_n);
         for p in 0..planes_n {
-            let delay: Box<dyn DelayModel> = if needs_floor {
+            let delay: Box<dyn DelayModel> = if floored {
                 Box::new(FlooredDelay::new(WAN_LEG_FLOOR, delay_factory()))
             } else {
                 delay_factory()
             };
             let fabric = Fabric::new(cfg.buffer_capacity, delay, loss_factory());
-            planes.push(add(
-                &mut engine,
-                &mut region_of,
-                region_of_plane(p),
-                NetworkActor::new(fabric).into(),
-            ));
+            planes.push(engine.add(region_of_plane(p), NetworkActor::new(fabric).into()));
         }
 
-        // Device, CPs, churn: same construction as the hub assembly, but
-        // each participant points at (and is co-located with) its plane.
         let device_id = DeviceId(0);
         let machine = match cfg.protocol {
             Protocol::Sapp { device, .. } => {
                 DeviceMachine::Sapp(SappDevice::new(device_id, device))
             }
             Protocol::Dcpp { cfg: c } => DeviceMachine::Dcpp(DcppDevice::new(device_id, c)),
+            // The fixed-rate baseline probes a DCPP device (any responder
+            // works; the baseline ignores reply payloads).
             Protocol::FixedRate { .. } => {
                 DeviceMachine::Dcpp(DcppDevice::new(device_id, DcppConfig::paper_default()))
             }
@@ -938,12 +517,7 @@ impl DecomposedScenario {
             device_actor.set_tuner(AutoTuner::new(tune, dev_cfg.l_nom));
         }
         device_actor.set_recorder_mode(mode);
-        let device = add(
-            &mut engine,
-            &mut region_of,
-            region_of_plane(0),
-            device_actor.into(),
-        );
+        let device = engine.add(region_of_plane(0), device_actor.into());
 
         let factory = match cfg.protocol {
             Protocol::Sapp { cp, .. } => ProberFactory::Sapp(cp),
@@ -952,14 +526,17 @@ impl DecomposedScenario {
                 ProberFactory::FixedRate(cycle, SimDuration::from_secs_f64(period))
             }
         };
+        // One frequency sample lands per completed cycle; the protocols
+        // hold the device near L_nom = 10 cycles/s shared across the pool,
+        // so this hint is the fair-share expectation with 2× headroom for
+        // the unfair (SAPP) trajectories.
         let samples_hint =
             ((cfg.duration * 20.0 / f64::from(cfg.cp_pool)).min(4e6) as usize).max(16);
         let mut cps = Vec::with_capacity(cfg.cp_pool as usize);
         for i in 0..cfg.cp_pool {
             let plane = i as usize % planes_n;
-            let id = CpId(i);
             let mut cp_actor = CpActor::new(
-                id,
+                CpId(i),
                 factory.clone(),
                 planes[plane],
                 device_id,
@@ -967,30 +544,28 @@ impl DecomposedScenario {
                 samples_hint,
             );
             cp_actor.set_recorder_mode(mode);
-            let actor = add(
-                &mut engine,
-                &mut region_of,
-                region_of_plane(plane),
-                cp_actor.into(),
-            );
-            cps.push(actor);
+            cps.push(engine.add(region_of_plane(plane), cp_actor.into()));
         }
 
-        // Register each participant's route on its owning plane only,
-        // and hand every plane the shared topology map.
-        let topology = Arc::new(PlaneTopology {
-            planes: planes.clone(),
-            plane_of_cp: (0..cfg.cp_pool)
-                .map(|i| (i as usize % planes_n) as u32)
-                .collect(),
-            plane_of_device: vec![0],
-            leg,
+        // Each plane registers the participants it owns; only a
+        // multi-plane network needs the shared plane map to relay.
+        let topology = (planes_n > 1).then(|| {
+            Arc::new(PlaneTopology {
+                planes: planes.clone(),
+                plane_of_cp: (0..cfg.cp_pool)
+                    .map(|i| (i as usize % planes_n) as u32)
+                    .collect(),
+                plane_of_device: vec![0],
+                leg,
+            })
         });
         for (p, &plane) in planes.iter().enumerate() {
             let net = engine
                 .actor_mut::<NetworkActor>(plane)
                 .expect("plane actor");
-            net.set_plane(p as u32, Arc::clone(&topology));
+            if let Some(topology) = &topology {
+                net.set_plane(p as u32, Arc::clone(topology));
+            }
             if p == 0 {
                 net.register(Addr::Device(device_id), device);
             }
@@ -1008,52 +583,19 @@ impl DecomposedScenario {
             SimDuration::from_secs_f64(cfg.join_stagger),
             cfg.duration,
         );
-        // The churn driver lives in region 0 while its CPs are spread
-        // over all regions: membership events must carry wire time.
+        // The churn driver lives in region 0 while its CPs may live in
+        // any region: membership events carry one leg of wire time (none
+        // on the hub).
         churn_actor.set_notify_delay(leg);
-        let churn = add(&mut engine, &mut region_of, 0, churn_actor.into());
-
-        let mut regime = None;
+        let churn = engine.add(0, churn_actor.into());
         if !churn_switches.is_empty() {
-            regime = Some(add(
-                &mut engine,
-                &mut region_of,
+            engine.add(
                 0,
                 crate::RegimeActor::new(churn, churn_switches.to_vec()).into(),
-            ));
+            );
         }
 
-        // Plan over the actual topology: the validator sees the same
-        // partition and routes the engine runs, so the decision is
-        // checked, never assumed.
-        let mut routes: Vec<(usize, usize, SimDuration)> = Vec::new();
-        for (p, &a) in planes.iter().enumerate() {
-            for (q, &b) in planes.iter().enumerate() {
-                if p != q {
-                    routes.push((a.index(), b.index(), leg));
-                }
-            }
-        }
-        routes.push((device.index(), planes[0].index(), SimDuration::ZERO));
-        routes.push((planes[0].index(), device.index(), leg));
-        for (i, &cp) in cps.iter().enumerate() {
-            let plane = planes[i % planes_n];
-            routes.push((cp.index(), plane.index(), SimDuration::ZERO));
-            routes.push((plane.index(), cp.index(), leg));
-            routes.push((churn.index(), cp.index(), leg));
-        }
-        if let Some(regime) = regime {
-            routes.push((regime.index(), churn.index(), SimDuration::ZERO));
-        }
-        let partition = RegionPartition::from_assignment(region_of, effective);
-        let plan = plan_partitioned(requested, &partition, &routes);
-        assert_eq!(
-            plan.effective, effective,
-            "decomposed topology must support its own partition (got: {})",
-            plan.reason
-        );
-
-        Self {
+        let scenario = Self {
             engine,
             cfg,
             mode,
@@ -1061,100 +603,142 @@ impl DecomposedScenario {
             planes,
             churn,
             cps,
-            plan,
             leg,
             trace_until_ns: None,
+        };
+        if scenario.engine.regions() > 1 {
+            let plan = scenario.plan();
+            assert_eq!(
+                plan.effective, regions,
+                "decomposed topology must support its own partition (got: {})",
+                plan.reason
+            );
         }
+        scenario
     }
 
-    /// Arms presence tracing on every actor of the decomposed topology
-    /// (see [`Scenario::enable_trace`]). The emitted trace is bit-identical
-    /// across region counts: per-actor trajectories are region-invariant
-    /// and the engine stream is canonically ordered — only the barrier
-    /// marks (regioned runs only) differ, on their own track.
+    /// [`ScenarioOn::assemble_on`] with `cfg`'s own delay and loss models
+    /// and no churn switches.
+    fn from_config(cfg: ScenarioConfig, planes: usize, regions: usize, mode: RecorderMode) -> Self {
+        let (mut delay, mut loss) = (|| cfg.delay.build(), || cfg.loss.build());
+        Self::assemble_on(cfg, planes, regions, &mut delay, &mut loss, &[], mode)
+    }
+
+    /// Validates the engine's actual actor → region partition against
+    /// every route of the topology, so a multi-region run is checked,
+    /// never assumed.
+    fn plan(&self) -> RegionPlan {
+        let regions = self.engine.regions();
+        let mut region_of = vec![0; self.churn.index() + 1];
+        let participants = [self.device, self.churn];
+        for &id in self.planes.iter().chain(&self.cps).chain(&participants) {
+            region_of[id.index()] = self.engine.region_of(id) as u32;
+        }
+        let mut routes: Vec<(usize, usize, SimDuration)> = Vec::new();
+        for &a in &self.planes {
+            for &b in &self.planes {
+                if a != b {
+                    routes.push((a.index(), b.index(), self.leg));
+                }
+            }
+        }
+        let home = self.planes[0].index();
+        routes.push((self.device.index(), home, SimDuration::ZERO));
+        routes.push((home, self.device.index(), self.leg));
+        for (i, &cp) in self.cps.iter().enumerate() {
+            let plane = self.planes[i % self.planes.len()].index();
+            routes.push((cp.index(), plane, SimDuration::ZERO));
+            routes.push((plane, cp.index(), self.leg));
+            routes.push((self.churn.index(), cp.index(), self.leg));
+        }
+        // A regime driver (added after churn, in churn's region 0) only
+        // signals churn, so it never crosses the cut.
+        let partition = RegionPartition::from_assignment(region_of, regions);
+        plan_partitioned(regions, &partition, &routes)
+    }
+
+    /// Arms presence tracing on every actor (and, when `engine` is set,
+    /// the structured engine event stream). `until` caps the horizon in
+    /// virtual seconds (`None` = the whole run). Call before
+    /// [`ScenarioOn::run`]; drain with [`ScenarioOn::collect_trace`]. The
+    /// simulated trajectory is unchanged — tracing only buffers
+    /// observations — and so is the trace across engines and region
+    /// counts, barrier marks aside.
     pub fn enable_trace(&mut self, until: Option<f64>, engine: bool) {
         let until_ns = until.map_or(u64::MAX, |s| SimTime::from_secs_f64(s).as_nanos());
         self.trace_until_ns = Some(until_ns);
         if engine {
             self.engine.enable_engine_trace();
         }
-        for &plane in &self.planes.clone() {
+        for &plane in &self.planes {
             self.engine
                 .actor_mut::<NetworkActor>(plane)
                 .expect("plane actor")
                 .set_trace(until_ns);
         }
-        let device = self.device;
         self.engine
-            .actor_mut::<DeviceActor>(device)
+            .actor_mut::<DeviceActor>(self.device)
             .expect("device actor")
             .set_trace(until_ns);
-        for &cp in &self.cps.clone() {
+        for &cp in &self.cps {
             self.engine
                 .actor_mut::<CpActor>(cp)
                 .expect("cp actor")
                 .set_trace(until_ns);
         }
-        let churn = self.churn;
         self.engine
-            .actor_mut::<ChurnActor>(churn)
+            .actor_mut::<ChurnActor>(self.churn)
             .expect("churn actor")
             .set_trace(until_ns);
     }
 
-    /// Drains the trace buffers into a [`presence_trace::TraceModel`] —
-    /// the decomposed mirror of [`Scenario::collect_trace`], with one
-    /// `net{p}` track per plane and the regioned engine's barrier marks
-    /// attached when the run was genuinely parallel.
+    /// Drains the trace buffers into a [`presence_trace::TraceModel`],
+    /// with one `net{p}` track per plane and the windowed engine's
+    /// barrier marks. Counter tracks are synthesised from `result`'s
+    /// series, so pass the [`ScenarioOn::collect`] output of the same run.
     ///
     /// # Panics
     ///
-    /// Panics if [`DecomposedScenario::enable_trace`] was not called.
+    /// Panics if [`ScenarioOn::enable_trace`] was not called.
     #[must_use]
     pub fn collect_trace(&mut self, result: &ScenarioResult) -> presence_trace::TraceModel {
         let until_ns = self
             .trace_until_ns
             .expect("enable_trace before collect_trace");
-        let mut nets = Vec::with_capacity(self.planes.len());
-        for &plane in &self.planes.clone() {
-            nets.push((
-                plane.index(),
-                self.engine
-                    .actor_mut::<NetworkActor>(plane)
-                    .expect("plane actor")
-                    .take_trace(),
-            ));
-        }
-        let device = self.device;
-        let device_buf = self
-            .engine
-            .actor_mut::<DeviceActor>(device)
+        let engine = &mut self.engine;
+        let nets = self
+            .planes
+            .iter()
+            .map(|&plane| {
+                let net = engine.actor_mut::<NetworkActor>(plane);
+                (plane.index(), net.expect("plane actor").take_trace())
+            })
+            .collect();
+        let device_buf = engine
+            .actor_mut::<DeviceActor>(self.device)
             .expect("device actor")
             .take_trace();
-        let mut cps = Vec::with_capacity(self.cps.len());
-        for &cp in &self.cps.clone() {
-            cps.push((
-                cp.index(),
-                self.engine
-                    .actor_mut::<CpActor>(cp)
-                    .expect("cp actor")
-                    .take_trace(),
-            ));
-        }
-        let churn = self.churn;
-        let churn_buf = self
-            .engine
-            .actor_mut::<ChurnActor>(churn)
+        let cps = self
+            .cps
+            .iter()
+            .map(|&cp| {
+                let actor = engine.actor_mut::<CpActor>(cp);
+                (cp.index(), actor.expect("cp actor").take_trace())
+            })
+            .collect();
+        let churn_buf = engine
+            .actor_mut::<ChurnActor>(self.churn)
             .expect("churn actor")
             .take_trace();
+        let (events, barriers) = engine.take_engine_trace();
         TraceCapture {
             until_ns,
             nets,
-            device: (device.index(), device_buf),
+            device: (self.device.index(), device_buf),
             cps,
-            churn: (churn.index(), churn_buf),
-            engine: self.engine.take_engine_trace(),
-            barriers: self.engine.take_barrier_marks(),
+            churn: (self.churn.index(), churn_buf),
+            engine: events,
+            barriers,
         }
         .into_model(result)
     }
@@ -1165,20 +749,13 @@ impl DecomposedScenario {
         &self.cfg
     }
 
-    /// The planning decision made at construction (requested vs effective
-    /// regions, with the lookahead or collapse evidence).
+    /// Actor id of the device.
     #[must_use]
-    pub fn region_plan(&self) -> &RegionPlan {
-        &self.plan
+    pub fn device_actor(&self) -> ActorId {
+        self.device
     }
 
-    /// The inter-plane leg (also the cross-region lookahead).
-    #[must_use]
-    pub fn leg(&self) -> SimDuration {
-        self.leg
-    }
-
-    /// Actor ids of the network planes.
+    /// Actor ids of the network planes (one on the hub).
     #[must_use]
     pub fn plane_actors(&self) -> &[ActorId] {
         &self.planes
@@ -1190,38 +767,45 @@ impl DecomposedScenario {
         &self.cps
     }
 
-    /// Caps the worker threads the windowed engine may use (no-op on the
-    /// sequential engine). Trajectories are worker-count-invariant.
-    pub fn set_workers(&mut self, workers: usize) {
-        if let Engine::Regioned(sim) = &mut self.engine {
-            sim.set_workers(workers);
-        }
-    }
-
-    /// Selects the window sizing policy (no-op on the sequential engine).
-    /// Trajectories are policy-invariant; only barrier counts change.
-    pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        if let Engine::Regioned(sim) = &mut self.engine {
-            sim.set_window_policy(policy);
-        }
-    }
-
-    /// Parallel-engine counters so far: `(windows_executed,
-    /// barrier_exchanges, events_per_window)`; `None` when the run is on
-    /// the sequential engine.
+    /// Actor id of the churn driver.
     #[must_use]
-    pub fn region_counters(&self) -> Option<(u64, u64, f64)> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Regioned(sim) => Some((
-                sim.windows_executed(),
-                sim.barrier_exchanges(),
-                sim.events_per_window(),
-            )),
-        }
+    pub fn churn_actor(&self) -> ActorId {
+        self.churn
     }
 
-    /// Unicasts forwarded over inter-plane legs, summed over planes.
+    /// Schedules a device crash (silent leave) at `at` seconds.
+    pub fn crash_device_at(&mut self, at: f64) {
+        self.device_event_at(at, SimEvent::Crash);
+    }
+
+    /// Schedules a graceful device leave (Bye broadcast) at `at` seconds.
+    pub fn device_bye_at(&mut self, at: f64) {
+        self.device_event_at(at, SimEvent::GracefulLeave);
+    }
+
+    /// Schedules a SAPP device Δ-doubling at `at` seconds (A2 ablation).
+    pub fn double_delta_at(&mut self, at: f64) {
+        self.device_event_at(at, SimEvent::DoubleDelta);
+    }
+
+    fn device_event_at(&mut self, at: f64, event: SimEvent) {
+        self.engine
+            .schedule_at(SimTime::from_secs_f64(at), self.device, event);
+    }
+
+    /// Runs the scenario for its configured duration.
+    pub fn run(&mut self) {
+        self.run_until(self.cfg.duration);
+    }
+
+    /// Runs until the given virtual time (may be called repeatedly for
+    /// checkpointed collection).
+    pub fn run_until(&mut self, at: f64) {
+        self.engine.run_until(SimTime::from_secs_f64(at));
+    }
+
+    /// Unicasts forwarded over inter-plane legs, summed over planes
+    /// (always 0 on the hub).
     #[must_use]
     pub fn relays_forwarded(&self) -> u64 {
         self.planes
@@ -1235,31 +819,9 @@ impl DecomposedScenario {
             .sum()
     }
 
-    /// Schedules a device crash (silent leave) at `at` seconds.
-    pub fn crash_device_at(&mut self, at: f64) {
-        let device = self.device;
-        self.engine
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::Crash);
-    }
-
-    /// Schedules a graceful device leave (Bye broadcast) at `at` seconds.
-    pub fn device_bye_at(&mut self, at: f64) {
-        let device = self.device;
-        self.engine
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::GracefulLeave);
-    }
-
-    /// Runs the scenario for its configured duration.
-    pub fn run(&mut self) {
-        let end = SimTime::from_secs_f64(self.cfg.duration);
-        self.engine.run_until(end);
-    }
-
-    /// Extracts the results accumulated so far. Mirrors
-    /// [`Scenario::collect`], with fabric counters summed over the planes
-    /// (each plane owns an independent fabric; the hub totals are the
-    /// plane totals' sum, and mean occupancy adds because in-flight
-    /// counts add).
+    /// Extracts the results accumulated so far. Fabric counters are
+    /// summed over the planes (each owns an independent fabric), and so
+    /// is mean buffer occupancy, because in-flight counts add.
     #[must_use]
     pub fn collect(&mut self) -> ScenarioResult {
         let now = self.engine.now();
@@ -1272,6 +834,7 @@ impl DecomposedScenario {
             match self.mode {
                 RecorderMode::Full => {
                     let series = dev.load_series_until(now);
+                    // Load over the steady part (skip the first window).
                     let mut acc = presence_stats::Welford::new();
                     for &(_, rate) in series.iter().skip(1) {
                         acc.push(rate);
@@ -1291,25 +854,23 @@ impl DecomposedScenario {
             .expect("device actor")
             .probes_received();
 
-        let mut offered = 0;
-        let mut delivered = 0;
-        let mut dropped_overflow = 0;
-        let mut dropped_loss = 0;
-        let mut unroutable = 0;
+        let mut fabric = FabricStats::default();
         let mut mean_buffer_occupancy: Option<f64> = None;
         for &plane in &self.planes {
+            // Mutable: the fabric settles delivery deadlines ≤ now before
+            // reporting (lazy delivery accounting).
             let net = self
                 .engine
                 .actor_mut::<NetworkActor>(plane)
                 .expect("plane actor");
             let stats = net.fabric_stats(now);
-            offered += stats.offered;
-            delivered += stats.delivered;
-            dropped_overflow += stats.dropped_overflow;
-            dropped_loss += stats.dropped_loss;
-            unroutable += stats.unroutable;
+            fabric.offered += stats.offered;
+            fabric.delivered += stats.delivered;
+            fabric.dropped_overflow += stats.dropped_overflow;
+            fabric.dropped_loss += stats.dropped_loss;
+            fabric.unroutable += stats.unroutable;
             if let Some(occ) = net.mean_occupancy(now) {
-                mean_buffer_occupancy = Some(mean_buffer_occupancy.unwrap_or(0.0) + occ);
+                mean_buffer_occupancy = Some(mean_buffer_occupancy.map_or(occ, |sum| sum + occ));
             }
         }
 
@@ -1323,19 +884,21 @@ impl DecomposedScenario {
             .map(|s| (s.t, s.value))
             .collect();
 
-        let mut cps = Vec::with_capacity(self.cps.len());
-        for &actor in &self.cps {
-            let cp = self.engine.actor::<CpActor>(actor).expect("cp actor");
-            let rec = cp.record_snapshot();
-            cps.push(CpSummary::from_record(&rec, now.as_secs_f64()));
-        }
+        let cps: Vec<CpSummary> = self
+            .cps
+            .iter()
+            .map(|&actor| {
+                let cp = self.engine.actor::<CpActor>(actor).expect("cp actor");
+                CpSummary::from_record(&cp.record_snapshot(), now.as_secs_f64())
+            })
+            .collect();
 
+        // Fairness over CPs that ever probed.
         let freqs: Vec<f64> = cps
             .iter()
             .filter(|c| c.cycles_succeeded > 0)
             .map(|c| c.mean_frequency)
             .collect();
-        let fairness = jain_index(&freqs);
 
         ScenarioResult {
             duration: now.as_secs_f64(),
@@ -1345,15 +908,142 @@ impl DecomposedScenario {
             load_mean,
             load_variance,
             mean_buffer_occupancy,
-            messages_offered: offered,
-            messages_delivered: delivered,
-            messages_dropped_overflow: dropped_overflow,
-            messages_dropped_loss: dropped_loss,
-            messages_unroutable: unroutable,
+            messages_offered: fabric.offered,
+            messages_delivered: fabric.delivered,
+            messages_dropped_overflow: fabric.dropped_overflow,
+            messages_dropped_loss: fabric.dropped_loss,
+            messages_unroutable: fabric.unroutable,
             population_series,
             cps,
-            fairness_jain: fairness,
+            fairness_jain: jain_index(&freqs),
         }
+    }
+}
+
+impl Scenario {
+    /// Wires up the one-plane hub for `cfg`.
+    #[must_use]
+    pub fn build(cfg: ScenarioConfig) -> Self {
+        Self::build_with_recorder(cfg, RecorderMode::Full)
+    }
+
+    /// [`Scenario::build`] with an explicit recorder granularity. Under
+    /// [`RecorderMode::Streaming`] the actors keep constant-size
+    /// accumulators instead of per-sample series: the simulated trajectory
+    /// (and every scalar metric) is unchanged, but the series fields of
+    /// the collected [`ScenarioResult`] come back empty and memory stays
+    /// flat at any horizon.
+    #[must_use]
+    pub fn build_with_recorder(cfg: ScenarioConfig, mode: RecorderMode) -> Self {
+        Self::from_config(cfg, 1, 1, mode)
+    }
+
+    /// [`Scenario::build`] with explicit (possibly time-varying) network
+    /// models and mid-run churn regime switches — the scenario-lab entry
+    /// point. `cfg.delay`/`cfg.loss` are ignored in favour of the passed
+    /// models; `churn_switches` (absolute seconds, ascending) are driven
+    /// by a [`crate::RegimeActor`] spawned only when the list is
+    /// non-empty, so a switch-free scenario is actor-for-actor identical
+    /// to [`Scenario::build`].
+    #[must_use]
+    pub fn assemble(
+        cfg: ScenarioConfig,
+        delay: Box<dyn DelayModel>,
+        loss: Box<dyn LossModel>,
+        churn_switches: &[(f64, ChurnModel)],
+    ) -> Self {
+        let (mut delay, mut loss) = (Some(delay), Some(loss));
+        Self::assemble_on(
+            cfg,
+            1,
+            1,
+            &mut || delay.take().expect("the hub builds one plane"),
+            &mut || loss.take().expect("the hub builds one plane"),
+            churn_switches,
+            RecorderMode::Full,
+        )
+    }
+
+    /// The [`DECOMPOSED_PLANES`]-plane topology for `cfg` on the
+    /// sequential engine: the reference [`DecomposedScenario`] runs must
+    /// match bit-for-bit.
+    #[must_use]
+    pub fn build_multiplane(cfg: ScenarioConfig) -> Self {
+        Self::from_config(cfg, DECOMPOSED_PLANES, 1, RecorderMode::Full)
+    }
+
+    /// The underlying simulation (for custom interventions: crashes,
+    /// Δ-retuning, extra probes).
+    pub fn sim_mut(&mut self) -> &mut PresenceSim {
+        &mut self.engine
+    }
+}
+
+impl DecomposedScenario {
+    /// Wires up the decomposed topology for `cfg` across `requested`
+    /// regions (clamped to `1..=DECOMPOSED_PLANES`).
+    #[must_use]
+    pub fn build(cfg: ScenarioConfig, requested: usize) -> Self {
+        Self::from_config(cfg, DECOMPOSED_PLANES, requested, RecorderMode::Full)
+    }
+
+    /// [`DecomposedScenario::build`] with explicit per-plane model
+    /// factories (each plane owns its own fabric, so time-varying lab
+    /// models are instantiated once per plane), mid-run churn switches,
+    /// and a recorder granularity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is invalid ([`ScenarioConfig::validate`]).
+    #[must_use]
+    pub fn assemble(
+        cfg: ScenarioConfig,
+        requested: usize,
+        delay_factory: &dyn Fn() -> Box<dyn DelayModel>,
+        loss_factory: &dyn Fn() -> Box<dyn LossModel>,
+        churn_switches: &[(f64, ChurnModel)],
+        mode: RecorderMode,
+    ) -> Self {
+        Self::assemble_on(
+            cfg,
+            DECOMPOSED_PLANES,
+            requested,
+            &mut || delay_factory(),
+            &mut || loss_factory(),
+            churn_switches,
+            mode,
+        )
+    }
+
+    /// The validator's verdict on this run's partition: regions, and the
+    /// cross-region lookahead that makes the cut sound.
+    #[must_use]
+    pub fn region_plan(&self) -> RegionPlan {
+        self.plan()
+    }
+
+    /// Caps the worker threads the windowed engine may use. Trajectories
+    /// are worker-count-invariant.
+    pub fn set_workers(&mut self, workers: usize) {
+        self.engine.set_workers(workers);
+    }
+
+    /// Selects the window sizing policy. Trajectories are
+    /// policy-invariant; only barrier counts change.
+    pub fn set_window_policy(&mut self, policy: WindowPolicy) {
+        self.engine.set_window_policy(policy);
+    }
+
+    /// Windowed-engine counters so far: `(windows_executed,
+    /// barrier_exchanges, events_per_window)`. Always `Some`: every
+    /// decomposed run is on the windowed engine.
+    #[must_use]
+    pub fn region_counters(&self) -> Option<(u64, u64, f64)> {
+        Some((
+            self.engine.windows_executed(),
+            self.engine.barrier_exchanges(),
+            self.engine.events_per_window(),
+        ))
     }
 }
 

@@ -1,23 +1,18 @@
 //! Region-equivalence suite: the golden fixtures must replay byte-for-byte
-//! at every `PRESENCE_REGIONS` setting.
+//! on every topology and engine that claims them.
 //!
-//! The trio and lab scenarios are hub-coupled (every participant reaches
-//! the others through one `NetworkActor` over zero-lookahead `send_now`
-//! legs), so the region planner provably collapses any multi-region
-//! request to one effective region — the run *is* the sequential engine,
-//! and the fixtures recorded before the regioned engine existed must
-//! match exactly. A divergence here means either the planner admitted an
-//! unsound cut or the plan consultation itself perturbed a trajectory.
+//! The trio and lab scenarios run on the one-plane hub, where every
+//! participant reaches the one `NetworkActor` over a same-instant send:
+//! the hub cannot be cut into regions, so it runs on the sequential
+//! engine and must match its fixtures exactly.
 //!
-//! `PRESENCE_REGIONS` is process-global, so this suite serialises its
-//! env mutations behind a mutex and restores the variable afterwards.
+//! The decomposed (multi-plane) topology does partition. Its fixtures are
+//! recorded on the sequential engine, and the windowed engine must replay
+//! them at every region count, 1 included.
 
 use presence::sim::{
     builtin_catalog, golden_trio, run_spec_once, DecomposedScenario, Scenario, ScenarioResult,
 };
-use std::sync::Mutex;
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn fixture(name: &str) -> ScenarioResult {
     let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
@@ -27,57 +22,33 @@ fn fixture(name: &str) -> ScenarioResult {
     serde_json::from_str(&text).expect("fixture deserialises")
 }
 
-/// Runs `body` with `PRESENCE_REGIONS` set to each of the given values in
-/// turn, restoring the previous value afterwards.
-fn with_regions<F: FnMut(usize)>(settings: &[usize], mut body: F) {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    let previous = std::env::var("PRESENCE_REGIONS").ok();
-    for &regions in settings {
-        std::env::set_var("PRESENCE_REGIONS", regions.to_string());
-        body(regions);
-    }
-    match previous {
-        Some(v) => std::env::set_var("PRESENCE_REGIONS", v),
-        None => std::env::remove_var("PRESENCE_REGIONS"),
-    }
-}
-
-fn assert_matches_fixture(name: &str, regions: usize, result: &ScenarioResult) {
+fn assert_matches_fixture(name: &str, engine: &str, result: &ScenarioResult) {
     let golden = fixture(name);
     assert_eq!(
         serde_json::to_string(result).expect("result serialises"),
         serde_json::to_string(&golden).expect("golden serialises"),
-        "{name}: trajectory diverged from the recorded run at \
-         PRESENCE_REGIONS={regions}"
+        "{name}: trajectory diverged from the recorded run on {engine}"
     );
 }
 
+/// The hub is the one-region case: a single plane on the sequential
+/// engine, relaying nothing.
 #[test]
 fn golden_trio_replays_identically_at_every_region_count() {
-    with_regions(&[1, 2, 4], |regions| {
-        for (name, cfg) in golden_trio() {
-            let mut scenario = Scenario::build(cfg);
-            let plan = scenario.region_plan();
-            assert_eq!(plan.requested, regions);
-            assert_eq!(
-                plan.effective, 1,
-                "{name}: hub scenario must collapse ({})",
-                plan.reason
-            );
-            scenario.run();
-            let result = scenario.collect();
-            assert_matches_fixture(name, regions, &result);
-        }
-    });
+    for (name, cfg) in golden_trio() {
+        let mut scenario = Scenario::build(cfg);
+        assert_eq!(scenario.plane_actors().len(), 1, "{name}: hub is one plane");
+        scenario.run();
+        assert_eq!(scenario.relays_forwarded(), 0, "{name}: hub relays nothing");
+        assert_matches_fixture(name, "the hub", &scenario.collect());
+    }
 }
 
 /// The decomposed (multi-plane) topology genuinely partitions — and its
-/// recorded regions = 1 fixtures must replay byte-for-byte on the
-/// windowed engine at every region count, with workers matched to
-/// regions. This is the soundness pin for the PR 8 hub decomposition:
-/// the fixtures were recorded on the sequential reference engine, so any
-/// divergence is a barrier-ordering or lookahead bug, not a fixture
-/// drift.
+/// fixtures, recorded on the sequential engine, must replay byte-for-byte
+/// on the windowed engine at every region count, with workers matched to
+/// regions. Any divergence is a barrier-ordering or lookahead bug, not a
+/// fixture drift.
 #[test]
 fn decomposed_trio_replays_identically_at_every_region_count() {
     for regions in [1usize, 2, 4] {
@@ -85,17 +56,19 @@ fn decomposed_trio_replays_identically_at_every_region_count() {
             let mut scenario = DecomposedScenario::build(cfg, regions);
             let plan = scenario.region_plan();
             assert_eq!(plan.requested, regions, "{name}");
-            if regions > 1 {
-                assert!(
-                    plan.effective >= 2,
-                    "{name}: decomposed scenario collapsed ({})",
-                    plan.reason
-                );
-            }
+            assert_eq!(
+                plan.effective, regions,
+                "{name}: decomposed scenario collapsed ({})",
+                plan.reason
+            );
             scenario.set_workers(regions);
             scenario.run();
             let result = scenario.collect();
-            assert_matches_fixture(&format!("decomposed-{name}"), regions, &result);
+            assert_matches_fixture(
+                &format!("decomposed-{name}"),
+                &format!("{regions} region(s)"),
+                &result,
+            );
         }
     }
 }
@@ -114,18 +87,21 @@ fn decomposed_lab_replays_identically_at_every_region_count() {
         scenario.set_workers(regions);
         scenario.run();
         let result = scenario.collect();
-        assert_matches_fixture("decomposed-lab-mixed", regions, &result);
+        assert_matches_fixture(
+            "decomposed-lab-mixed",
+            &format!("{regions} region(s)"),
+            &result,
+        );
     }
 }
 
+/// The lab spec's hub run, likewise the one-region case.
 #[test]
 fn mixed_regime_lab_replays_identically_at_every_region_count() {
     let spec = builtin_catalog()
         .into_iter()
         .find(|s| s.name == "mixed-regime-stress")
         .expect("mixed-regime-stress is in the builtin catalog");
-    with_regions(&[1, 2, 4], |regions| {
-        let result = run_spec_once(&spec).expect("lab fixture spec runs");
-        assert_matches_fixture("lab-mixed", regions, &result);
-    });
+    let result = run_spec_once(&spec).expect("lab fixture spec runs");
+    assert_matches_fixture("lab-mixed", "the hub", &result);
 }

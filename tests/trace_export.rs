@@ -1,12 +1,14 @@
 //! End-to-end pins for the presence-trace pipeline: a hub scenario must
 //! export a Perfetto-loadable Chrome JSON trace with actor tracks, probe
-//! flow events, and counter tracks; and a regioned run's trace (barrier
+//! flow events, and counter tracks; and a windowed run's trace (barrier
 //! marks aside — they only exist on the windowed engine) must be
-//! byte-for-byte identical to the sequential engine's, because the trace
-//! is a pure function of the simulated trajectory and the trajectory is
-//! region-invariant.
+//! byte-for-byte identical to the sequential engine's on the same
+//! topology, because the trace is a pure function of the simulated
+//! trajectory and the trajectory is engine- and region-invariant.
 
-use presence::sim::{DecomposedScenario, Protocol, Scenario, ScenarioConfig};
+use presence::sim::{
+    DecomposedScenario, Protocol, Scenario, ScenarioConfig, ScenarioEngine, ScenarioOn,
+};
 use presence::trace::{analyze, parse, validate, write_chrome_json};
 
 /// The full pipeline on a paper-default DCPP hub: model → Chrome JSON →
@@ -78,26 +80,20 @@ fn trace_export_is_deterministic() {
     assert_eq!(export(), export());
 }
 
-fn decomposed_trace(cfg: ScenarioConfig, regions: usize, until: Option<f64>) -> String {
-    let mut scenario = DecomposedScenario::build(cfg, regions);
-    scenario.set_workers(regions);
+/// Runs `scenario` traced up to `until` and exports its trace, with the
+/// barrier marks stripped and counted. Barrier marks are an engine
+/// artifact (they exist only on the windowed engine), not part of the
+/// simulated trajectory.
+fn traced_export<E: ScenarioEngine>(
+    mut scenario: ScenarioOn<E>,
+    until: Option<f64>,
+) -> (String, usize) {
     scenario.enable_trace(until, true);
     scenario.run();
     let result = scenario.collect();
     let mut model = scenario.collect_trace(&result);
-    if regions > 1 {
-        assert!(
-            !model.barriers.is_empty(),
-            "regions={regions}: windowed engine produced no barrier marks"
-        );
-    } else {
-        assert!(model.barriers.is_empty(), "sequential run has no barriers");
-    }
-    // Barrier marks are an engine artifact (they exist only on the
-    // windowed engine), not part of the simulated trajectory — strip
-    // them before comparing regioned against sequential.
-    model.barriers.clear();
-    write_chrome_json(&model)
+    let barriers = std::mem::take(&mut model.barriers).len();
+    (write_chrome_json(&model), barriers)
 }
 
 /// The exported trace of the paper-default DCPP catalog entry matches
@@ -134,18 +130,25 @@ fn paper_dcpp_trace_matches_golden_fixture() {
     assert!(check.flows_started > 0 && check.counter_tracks >= 3);
 }
 
-/// The regioned engine's trace — dispatch spans, timer events, probe
-/// flows, counters — is byte-identical to the sequential engine's at
-/// every region count, on the decomposed trio.
+/// The windowed engine's trace — dispatch spans, timer events, probe
+/// flows, counters — is byte-identical to the sequential engine's on the
+/// same decomposed topology, at every region count.
 #[test]
 fn decomposed_trio_trace_is_byte_identical_across_regions() {
     for (name, cfg) in presence::sim::golden_trio() {
         // Cap the horizon so the engine stream stays test-sized; the cap
         // is part of what must be region-invariant.
-        let reference = decomposed_trace(cfg, 1, Some(45.0));
+        let (reference, barriers) = traced_export(Scenario::build_multiplane(cfg), Some(45.0));
         assert!(reference.len() > 2, "{name}: empty trace");
-        for regions in [2usize, 4] {
-            let got = decomposed_trace(cfg, regions, Some(45.0));
+        assert_eq!(barriers, 0, "{name}: sequential run has no barriers");
+        for regions in [1usize, 2, 4] {
+            let mut scenario = DecomposedScenario::build(cfg, regions);
+            scenario.set_workers(regions);
+            let (got, barriers) = traced_export(scenario, Some(45.0));
+            assert!(
+                regions == 1 || barriers > 0,
+                "{name}: regions={regions}: windowed engine produced no barrier marks"
+            );
             assert_eq!(
                 got, reference,
                 "{name}: trace diverged from sequential at regions={regions}"
